@@ -18,7 +18,7 @@ standard module by the scalar q^(k+1) + q^-(k+1).
 
 from itertools import product as iproduct
 
-from .ring import GENERIC, beta
+from .ring import GENERIC, beta_power
 from .diagram_core import DiluteDiagram, AlgebraElem, all_generators
 from .link_modules import enumerate_links, LinComb, act
 
@@ -116,7 +116,7 @@ def build_F(n, mode=GENERIC):
                     break
                 visited.add(cur)
         coeff = mode.q_power(sexp // 2) * mode.const(sign)
-        coeff = coeff * beta(mode) ** loops
+        coeff = coeff * beta_power(mode, loops)
         d = DiluteDiagram.from_pairs(n, pairs)
         total = total + AlgebraElem(n, mode, {d: coeff})
     return total

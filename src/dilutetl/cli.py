@@ -35,6 +35,7 @@ from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 DEFAULT_DET_CAP = 5
+DEFAULT_TABLE_CAP = 12
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +60,11 @@ def _mode_from_flags(generic, m):
             raise click.UsageError("--root-of-unity requires m >= 3")
         return root_of_unity(m)
     return GENERIC
+
+
+def _check_n_max(n_max, cap):
+    if not 0 <= n_max <= cap:
+        raise click.UsageError("--n-max must be between 0 and %d" % cap)
 
 
 def _table_csv(rows):
@@ -114,12 +120,11 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
               default="csv", show_default=True)
 @click.option("--cap-override", type=int, default=None,
-              help="raise the size cap (default 12)")
+              help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP)
 def dims(n_max, fmt, cap_override):
     """Standard-module dimension table for sizes 0..n-max."""
-    cap = cap_override if cap_override is not None else 12
-    if not 0 <= n_max <= cap:
-        raise click.UsageError("--n-max must be between 0 and %d" % cap)
+    _check_n_max(n_max, cap_override if cap_override is not None
+                 else DEFAULT_TABLE_CAP)
     rows = [[dim_standard(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     totals = []
     failed = False
@@ -148,6 +153,7 @@ def dims(n_max, fmt, cap_override):
 def irr(n_max, m, fmt, nullity_n_max):
     """Irreducible dimension table, cross-checked three independent ways."""
     mode = _mode_from_flags(False, m)
+    _check_n_max(n_max, DEFAULT_TABLE_CAP)
     ell = mode.ell
     table = _cached_irr_table(n_max, ell)
     rows = [list(table[n]) for n in range(n_max + 1)]
@@ -318,8 +324,7 @@ def _suite_gram(rng):
         for k in range(n + 1):
             direct = gram_det_direct(n, k)
             closed = gram_det_closed(n, k)
-            same = direct == closed or direct == -closed
-            checks.append(("det_n%d_k%d" % (n, k), same))
+            checks.append(("det_n%d_k%d" % (n, k), direct == closed))
     for m in (4, 6):
         mode = root_of_unity(m)
         for n in range(1, 6):

@@ -13,7 +13,7 @@ contributes a factor beta, and any string that meets a vacancy kills the
 product.
 """
 
-from .ring import GENERIC, beta
+from .ring import GENERIC, beta_power
 
 
 VACANT = None
@@ -214,14 +214,13 @@ class AlgebraElem:
 
     def __mul__(self, other):
         assert self.n == other.n and self.mode == other.mode
-        bet = beta(self.mode)
         acc = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 loops, d = multiply_diagrams_raw(d1, d2)
                 if d is None:
                     continue
-                c = c1 * c2 * bet ** loops
+                c = c1 * c2 * beta_power(self.mode, loops)
                 w = acc.get(d, self.mode.zero()) + c
                 if w:
                     acc[d] = w
@@ -241,14 +240,6 @@ class AlgebraElem:
             return "AlgebraElem(0, n=%d)" % self.n
         items = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
         return " + ".join("(%s)*%r" % (c, d) for d, c in items)
-
-
-def multiply_diagrams(a, b, mode=GENERIC):
-    """Product of two diagrams as an algebra element (beta per closed loop)."""
-    loops, d = multiply_diagrams_raw(a, b)
-    if d is None:
-        return AlgebraElem(a.n, mode)
-    return AlgebraElem(a.n, mode, {d: beta(mode) ** loops})
 
 
 def identity(n, mode=GENERIC):

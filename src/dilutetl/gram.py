@@ -6,15 +6,16 @@ the second: string/vacancy mismatches give zero, every defect of one
 must be joined to a defect of the other, and each closed loop contributes
 a factor beta.  In the basis ordered by vacancy configuration the Gram
 matrix is block diagonal; each block is a Gram matrix of the dense
-algebra on the occupied sites, so determinants, nullities and radicals
-assemble from dense blocks with binomial multiplicities.
+algebra on the occupied sites (removing the shared vacancies keeps the
+order of the states inside a block), so the matrix, determinants,
+nullities and radicals assemble from one memoised dense block per
+occupied-site count, with binomial multiplicities.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .ring import GENERIC, beta
+from .ring import GENERIC, beta_power
 from .link_modules import enumerate_links, dim_standard
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
 
@@ -61,13 +62,22 @@ def gram_product(x, y, mode=GENERIC):
             visited.add(cur[:2])
             cur = step(*cur)
         loops += 1
-    return beta(mode) ** loops
+    return beta_power(mode, loops)
 
 
 def gram_matrix(n, k, mode=GENERIC):
-    """Gram matrix over the ordered link basis (rows and columns alike)."""
-    basis = enumerate_links(n, k)
-    return [[gram_product(u, v, mode) for v in basis] for u in basis]
+    """
+    Gram matrix over the ordered link basis (rows and columns alike): the
+    dense block of each vacancy configuration on the diagonal, one shared
+    zero everywhere else.
+    """
+    dim = len(enumerate_links(n, k))
+    zero = mode.zero()
+    mat = [[zero] * dim for _ in range(dim)]
+    for s, e, occ in gram_blocks(n, k):
+        for r, row in enumerate(_dense_block(occ, k, mode), s):
+            mat[r][s:e] = row
+    return mat
 
 
 def gram_blocks(n, k):
@@ -89,7 +99,7 @@ def gram_blocks(n, k):
 
 def _bareiss_det(mat, mode=GENERIC):
     """Fraction-free determinant for a matrix over a ring with exact_div."""
-    m = [row[:] for row in mat]
+    m = [list(row) for row in mat]
     size = len(m)
     if size == 0:
         return mode.one()
@@ -122,26 +132,28 @@ def tl_gram_matrix(m, k, mode=GENERIC):
     return [[gram_product(u, v, mode) for v in basis] for u in basis]
 
 
+@lru_cache(maxsize=None)
+def _dense_block(m, k, mode):
+    """The dense (m, k) Gram matrix as a tuple of row tuples, built once."""
+    return tuple(tuple(row) for row in tl_gram_matrix(m, k, mode))
+
+
+@lru_cache(maxsize=None)
+def _dense_nullspace(m, k, mode):
+    """Nullspace basis of the dense (m, k) Gram block, as tuples, built once."""
+    return tuple(tuple(v) for v in _nullspace_field(_dense_block(m, k, mode), mode))
+
+
 def gram_det_direct(n, k, mode=GENERIC):
     """
-    Determinant computed from the matrix itself: off-block entries are
-    checked to vanish, then the block determinants (one dense Gram
-    determinant per occupied-site count, with binomial multiplicity) are
-    multiplied out.
+    Determinant by elimination: the fraction-free determinant of each
+    distinct dense block, multiplied out over the diagonal blocks.
     """
-    mat = gram_matrix(n, k, mode)
-    blocks = gram_blocks(n, k)
-    for bi, (s0, e0, _) in enumerate(blocks):
-        for s1, e1, _ in blocks[bi + 1:]:
-            for r in range(s0, e0):
-                for c in range(s1, e1):
-                    assert not mat[r][c] and not mat[c][r], "blocks overlap"
     det = mode.one()
     dets_by_size = {}
-    for s, e, occ in blocks:
+    for _s, _e, occ in gram_blocks(n, k):
         if occ not in dets_by_size:
-            sub = [[mat[r][c] for c in range(s, e)] for r in range(s, e)]
-            dets_by_size[occ] = _bareiss_det(sub, mode)
+            dets_by_size[occ] = _bareiss_det(_dense_block(occ, k, mode), mode)
         det = det * dets_by_size[occ]
     return det
 
@@ -149,8 +161,7 @@ def gram_det_direct(n, k, mode=GENERIC):
 def gram_det_closed(n, k, mode=GENERIC):
     """
     Closed form: the product over occupied-site counts of the dense Gram
-    determinant raised to a binomial multiplicity.  Valid up to an
-    overall sign, like the dense closed form it is built from.
+    determinant raised to a binomial multiplicity.
     """
     det = GENERIC.one()
     for p in range((n - k) // 2 + 1):
@@ -225,14 +236,9 @@ def _nullspace_field(mat, mode):
     return basis
 
 
-@lru_cache(maxsize=None)
 def _tl_nullity(m, k, mode):
     """Nullity of the dense (m, k) Gram block in the given mode."""
-    if dim_v(m, k) == 0:
-        return 0
-    if m == k:
-        return 0
-    return _nullity_field(tl_gram_matrix(m, k, mode))
+    return len(_dense_nullspace(m, k, mode))
 
 
 def gram_nullity(n, k, mode):
@@ -251,14 +257,12 @@ def radical_basis(n, k, mode):
     A basis of the radical as LinComb-style coefficient vectors over the
     ordered link basis (lists of ring elements).
     """
-    mat = gram_matrix(n, k, mode)
+    dim = len(enumerate_links(n, k))
     vecs = []
-    for s, e, _occ in gram_blocks(n, k):
-        sub = [[mat[r][c] for c in range(s, e)] for r in range(s, e)]
-        for v in _nullspace_field(sub, mode):
-            full = [mode.zero()] * len(mat)
-            for i, x in enumerate(v):
-                full[s + i] = x
+    for s, e, occ in gram_blocks(n, k):
+        for v in _dense_nullspace(occ, k, mode):
+            full = [mode.zero()] * dim
+            full[s:e] = v
             vecs.append(full)
     return vecs
 

@@ -13,7 +13,7 @@ k defects are dropped.
 from functools import lru_cache
 from math import comb
 
-from .ring import GENERIC, beta
+from .ring import GENERIC, beta_power
 from .diagram_core import DiluteDiagram, AlgebraElem, VACANT
 from .tl_reference import dim_v
 
@@ -284,7 +284,7 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     out_state = LinkState(new_sites)
     if quotient_k is not None and out_state.defect_count() < quotient_k:
         return LinComb(n, mode)
-    return LinComb(n, mode, {out_state: beta(mode) ** loops})
+    return LinComb(n, mode, {out_state: beta_power(mode, loops)})
 
 
 def act(u, v, quotient_k=None):

@@ -5,9 +5,15 @@ Two coefficient rings are provided: Laurent polynomials in q with rational
 coefficients (the generic ring), and the cyclotomic field Q[q]/(Phi_m(q))
 for q a primitive m-th root of unity.  All arithmetic is exact; no floating
 point is used anywhere.
+
+Ring elements are immutable: no operation writes to its operands, and
+neither `LaurentPoly.coeffs` nor `CycloElem.rep` is changed after
+construction.  Memoised values (`beta`, `beta_power`, the dense Gram
+blocks) and matrix cells therefore share element objects freely.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -123,10 +129,6 @@ class LaurentPoly:
 
     def max_exp(self):
         return max(self.coeffs) if self.coeffs else 0
-
-    def leading_coeff(self):
-        """Coefficient of the highest power of q (0 for the zero element)."""
-        return self.coeffs[max(self.coeffs)] if self.coeffs else Fraction(0)
 
     def exact_div(self, other):
         """
@@ -481,6 +483,13 @@ def qnum(j, mode=GENERIC):
     return mode.convert(p)
 
 
+@lru_cache(maxsize=None)
 def beta(mode=GENERIC):
-    """The loop weight q + q^(-1)."""
+    """The loop weight q + q^(-1), memoised per mode."""
     return mode.convert(LaurentPoly({1: 1, -1: 1}))
+
+
+@lru_cache(maxsize=None)
+def beta_power(mode, j):
+    """beta(mode) ** j, the weight of j closed loops, memoised per mode."""
+    return beta(mode) ** j

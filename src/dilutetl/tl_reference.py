@@ -31,10 +31,10 @@ def dim_v(n, k):
 
 def det_gram_tl(n, k, mode=GENERIC):
     """
-    Closed form for the dense Gram determinant on (n, k), valid up to an
-    overall sign: a product of quantum-number ratios with multiplicities
-    given by standard-module dimensions.  The ratio product is a genuine
-    Laurent polynomial; the division is exact.
+    Closed form for the dense Gram determinant on (n, k): a product of
+    quantum-number ratios with multiplicities given by standard-module
+    dimensions.  The ratio product is a genuine Laurent polynomial; the
+    division is exact.
     """
     if dim_v(n, k) == 0:
         raise ValueError("empty module")

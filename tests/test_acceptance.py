@@ -91,12 +91,12 @@ def test_criterion_3_irreducible_dimension_tables():
 
 
 def test_criterion_4_gram_determinant():
-    """Closed-form determinant equals the direct one up to sign, n <= 5."""
+    """Closed-form determinant equals the direct one exactly, n <= 5."""
     for n in range(1, 6):
         for k in range(n + 1):
             direct = gram_det_direct(n, k)
             closed = gram_det_closed(n, k)
-            assert direct == closed or direct == -closed, (n, k)
+            assert direct == closed, (n, k)
 
 
 def test_criterion_5_central_element():

@@ -1,5 +1,6 @@
 """The command-line surface: formats, goldens, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -75,6 +76,14 @@ def test_irr_invalid_m():
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize("n_max", ["-1", "13"])
+@pytest.mark.parametrize("fmt", ["csv", "pretty", "json"])
+def test_irr_n_max_out_of_range(n_max, fmt):
+    res = _run(["irr", "--n-max", n_max, "--root-of-unity", "6",
+                "--format", fmt])
+    assert res.exit_code == 2 and "--n-max must be between 0 and 12" in res.output
+
+
 def test_irr_cache_dir(tmp_path):
     env = {"DTL_CACHE_DIR": str(tmp_path)}
     res1 = _run(["irr", "--n-max", "6", "--root-of-unity", "6",
@@ -102,6 +111,23 @@ def test_gram_radical_at_root():
     data = json.loads(res.output)
     assert data["radical_dim"] == 1
     assert len(data["radical_basis"]) == 1
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["--n", "6", "--k", "0", "--root-of-unity", "6"],
+     "51f1d60e4ac5f4da714172170c3c5325cf80534418c2e286c00c15b0323c47e2"),
+    (["--n", "6", "--k", "2", "--root-of-unity", "5"],
+     "f353934b1b92d2aef2ab6909448ef73f20c51738ffce3fe206cce76e965127ea"),
+    (["--n", "6", "--k", "1", "--root-of-unity", "8"],
+     "498504c877896b0d9121b431e3d4508355ccb6e8619726964cc349e4f620fff0"),
+    (["--n", "5", "--k", "1", "--generic"],
+     "38c2b37c489765f013cf2ea0331b599544294fdb8a18a5a428fc4cfe34b2071c"),
+])
+def test_gram_json_bytes_pinned(args, digest):
+    """Matrix, blocks, determinants and radical basis, byte for byte."""
+    res = _run(["gram", "--format", "json"] + args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
 
 
 def test_gram_mode_flags_exclusive():

@@ -40,12 +40,23 @@ def test_block_structure():
         basis = enumerate_links(n, k)
         blocks = gram_blocks(n, k)
         assert sum(e - s for s, e, _ in blocks) == len(basis)
-        mat = gram_matrix(n, k)
-        for bi, (s0, e0, _) in enumerate(blocks):
-            for s1, e1, _ in blocks[bi + 1:]:
-                for r in range(s0, e0):
-                    for c in range(s1, e1):
-                        assert mat[r][c].is_zero() and mat[c][r].is_zero()
+        for s, e, occ in blocks:
+            vacancies = {basis[i].vacancy_positions() for i in range(s, e)}
+            assert len(vacancies) == 1 and n - len(vacancies.pop()) == occ
+
+
+@pytest.mark.parametrize("m", [None, 4, 5, 6, 8])
+def test_gram_matrix_equals_pairing_oracle(m):
+    """
+    The block-assembled matrix equals the pairing of every two states,
+    off-block zeros included.
+    """
+    mode = GENERIC if m is None else root_of_unity(m)
+    for n in range(7):
+        for k in range(n + 1):
+            basis = enumerate_links(n, k)
+            want = [[gram_product(u, v, mode) for v in basis] for u in basis]
+            assert gram_matrix(n, k, mode) == want, (n, k, m)
 
 
 def test_known_determinants():
@@ -59,7 +70,7 @@ def test_det_closed_vs_direct(n):
     for k in range(n + 1):
         direct = gram_det_direct(n, k)
         closed = gram_det_closed(n, k)
-        assert direct == closed or direct == -closed, (n, k)
+        assert direct == closed, (n, k)
 
 
 def test_det_nonzero_generically():
