@@ -65,7 +65,7 @@ def _tile_links(n, assignment):
 def build_F(n, mode=GENERIC):
     """The central element on n sites, expanded into diagrams."""
     row_options = [("c", "c")] + [(l, r) for l in "ab" for r in "ab"]
-    total = AlgebraElem(n, mode)
+    terms = {}
     for assignment in iproduct(row_options, repeat=n):
         sexp = 0
         sign = 1
@@ -118,8 +118,12 @@ def build_F(n, mode=GENERIC):
         coeff = mode.q_power(sexp // 2) * mode.const(sign)
         coeff = coeff * beta_power(mode, loops)
         d = DiluteDiagram.from_pairs(n, pairs)
-        total = total + AlgebraElem(n, mode, {d: coeff})
-    return total
+        w = terms.get(d, mode.zero()) + coeff
+        if w:
+            terms[d] = w
+        else:
+            terms.pop(d, None)
+    return AlgebraElem(n, mode, terms)
 
 
 def delta(k, mode=GENERIC):

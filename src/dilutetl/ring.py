@@ -6,6 +6,14 @@ coefficients (the generic ring), and the cyclotomic field Q[q]/(Phi_m(q))
 for q a primitive m-th root of unity.  All arithmetic is exact; no floating
 point is used anywhere.
 
+Coefficients are normalised when an element is built: an integral value is
+stored as a plain int and only a non-integral one as a Fraction.  Every
+structure constant lies in Z[q, q^-1], so the generic ring and the
+fraction-free determinants stay in int arithmetic; Fractions appear only
+in non-integral inputs and where a coefficient division does not come out
+even (field inverses).  An int and an integral Fraction compare, hash and
+print alike, so the choice never shows in a result.
+
 Ring elements are immutable: no operation writes to its operands, and
 neither `LaurentPoly.coeffs` nor `CycloElem.rep` is changed after
 construction.  Memoised values (`beta`, `beta_power`, the dense Gram
@@ -17,10 +25,20 @@ from functools import lru_cache
 from math import gcd
 
 
+def _norm(v):
+    """An exact coefficient: a plain int when integral, else a Fraction."""
+    if type(v) is not int:
+        v = Fraction(v)
+        if v.denominator == 1:
+            v = v.numerator
+    return v
+
+
 class LaurentPoly:
     """
     A Laurent polynomial in q over the rationals, stored as a sparse map
-    from integer exponents to nonzero Fractions.
+    from integer exponents to nonzero coefficients (ints where integral,
+    otherwise Fractions).
     """
 
     __slots__ = ("coeffs",)
@@ -29,8 +47,8 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
+                v = _norm(v)
+                if v:
                     c[int(e)] = v
         self.coeffs = c
 
@@ -48,7 +66,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(v):
-        return LaurentPoly({0: Fraction(v)})
+        return LaurentPoly({0: v})
 
     def is_zero(self):
         return not self.coeffs
@@ -187,14 +205,17 @@ class LaurentPoly:
 def _to_dense(p):
     """Dense coefficient list of p * q^(-min_exp), constant term first."""
     s = p.min_exp()
-    out = [Fraction(0)] * (p.max_exp() - s + 1)
+    out = [0] * (p.max_exp() - s + 1)
     for e, v in p.coeffs.items():
         out[e - s] = v
     return out
 
 
 def _poly_divmod(a, b):
-    """Long division of dense rational polynomial a by b (constant first)."""
+    """
+    Long division of dense rational polynomial a by b (constant first);
+    each quotient coefficient is an exact quotient, an int where integral.
+    """
     a = list(a)
     while a and a[-1] == 0:
         a.pop()
@@ -202,9 +223,9 @@ def _poly_divmod(a, b):
     while b and b[-1] == 0:
         b.pop()
     assert b, "division by zero polynomial"
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
+        f = _norm(Fraction(a[-1], b[-1]))
         d = len(a) - len(b)
         q[d] = f
         for i, bc in enumerate(b):
@@ -216,13 +237,13 @@ def _poly_divmod(a, b):
 
 def cyclotomic_poly(m):
     """
-    The m-th cyclotomic polynomial as a dense list of Fractions (constant
-    term first), built by dividing x^m - 1 by the cyclotomic polynomials of
-    all proper divisors of m.
+    The m-th cyclotomic polynomial as a dense list of integer coefficients
+    (constant term first), built by dividing x^m - 1 by the cyclotomic
+    polynomials of all proper divisors of m.
     """
     assert m >= 1
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
+    num = [0] * (m + 1)
+    num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
             q, r = _poly_divmod(num, cyclotomic_poly(d))
@@ -243,15 +264,15 @@ def _poly_mod(a, phi):
                 a[i + d] -= f * phi[i]
         a.pop()
     while len(a) < n:
-        a.append(Fraction(0))
+        a.append(0)
     return a
 
 
 def _poly_ext_gcd(a, b):
     """Extended gcd for dense rational polynomials: g, s, t with g = s*a + t*b."""
     r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
+    s0, s1 = [1], [0]
+    t0, t1 = [0], [1]
 
     def trim(p):
         p = list(p)
@@ -261,7 +282,7 @@ def _poly_ext_gcd(a, b):
 
     def sub_mul(p, q, f):
         # p - f*q as dense lists
-        out = list(p) + [Fraction(0)] * max(0, len(q) + len(f) - 1 - len(p))
+        out = list(p) + [0] * max(0, len(q) + len(f) - 1 - len(p))
         for i, qc in enumerate(q):
             for j, fc in enumerate(f):
                 out[i + j] -= qc * fc
@@ -290,7 +311,7 @@ class CycloElem:
         self.m = m
         phi = CycloElem.phi(m)
         dense = _poly_mod(list(rep), phi)
-        self.rep = tuple(Fraction(v) for v in dense)
+        self.rep = tuple(_norm(v) for v in dense)
 
     @staticmethod
     def phi(m):
@@ -304,16 +325,16 @@ class CycloElem:
 
     @staticmethod
     def one(m):
-        return CycloElem(m, [Fraction(1)])
+        return CycloElem(m, [1])
 
     @staticmethod
     def q(m, exp=1):
         exp %= m
-        return CycloElem(m, [Fraction(0)] * exp + [Fraction(1)])
+        return CycloElem(m, [0] * exp + [1])
 
     @staticmethod
     def const(m, v):
-        return CycloElem(m, [Fraction(v)])
+        return CycloElem(m, [v])
 
     @staticmethod
     def from_laurent(m, p):
@@ -324,7 +345,7 @@ class CycloElem:
         return out
 
     def is_zero(self):
-        return all(v == 0 for v in self.rep)
+        return not any(self.rep)
 
     def __bool__(self):
         return not self.is_zero()
@@ -353,7 +374,7 @@ class CycloElem:
     def __mul__(self, other):
         other = self._coerce(other)
         n = len(self.rep)
-        prod = [Fraction(0)] * (2 * n - 1 if n else 1)
+        prod = [0] * (2 * n - 1 if n else 1)
         for i, a in enumerate(self.rep):
             if a == 0:
                 continue
@@ -383,10 +404,21 @@ class CycloElem:
         g, s, _ = _poly_ext_gcd(list(self.rep), phi)
         assert len(g) == 1 and g[0] != 0
         c = g[0]
-        return CycloElem(self.m, [v / c for v in s])
+        return CycloElem(self.m, [Fraction(v, c) for v in s])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
+
+    def exact_div(self, other):
+        """
+        Divide by another element of the field, the counterpart of
+        `LaurentPoly.exact_div` for fraction-free elimination; a zero
+        divisor raises ZeroDivisionError.
+        """
+        other = self._coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero cyclotomic element")
+        return self / other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -12,7 +12,7 @@ dimension checks for the restriction and induction formulas.
 from functools import lru_cache
 from math import comb
 
-from .ring import GENERIC, beta
+from .ring import GENERIC
 from .diagram_core import (AlgebraElem, all_generators, identity, transpose,
                            reduce_mod_ideal, crossing_count)
 from .link_modules import (enumerate_links, dim_standard, act, LinComb,
@@ -233,16 +233,6 @@ def verify_cellularity(n, k, mode=GENERIC):
     return True
 
 
-def _dims_for_report(n, ell):
-    """dim U / dim L / dim R rows 0..n from the recurrence table."""
-    rows = []
-    for k in range(n + 1):
-        u = dim_standard(n, k)
-        l = dim_irr(n, k, ell)
-        rows.append((u, u - l, l))
-    return rows
-
-
 def restriction_induction_report(n, ell):
     """
     Dimension-level verification of the restriction and induction
@@ -252,9 +242,6 @@ def restriction_induction_report(n, ell):
     at the larger size.
     """
     checks = []
-
-    def dims(m):
-        return _dims_for_report(m, ell)
 
     def dimU(m, k):
         return dim_standard(m, k) if 0 <= k <= m else 0

@@ -122,12 +122,22 @@ def test_gram_radical_at_root():
      "498504c877896b0d9121b431e3d4508355ccb6e8619726964cc349e4f620fff0"),
     (["--n", "5", "--k", "1", "--generic"],
      "38c2b37c489765f013cf2ea0331b599544294fdb8a18a5a428fc4cfe34b2071c"),
+    (["--n", "7", "--k", "1", "--generic", "--cap-override", "7"],
+     "012790927d1fd74795ee7df7db1b93d3337a6d464d4743a0ce0a6cb65e4a6a96"),
 ])
 def test_gram_json_bytes_pinned(args, digest):
     """Matrix, blocks, determinants and radical basis, byte for byte."""
     res = _run(["gram", "--format", "json"] + args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
+
+
+def test_gram_determinant_at_root():
+    res = _run(["gram", "--n", "4", "--k", "2", "--root-of-unity", "6",
+                "--format", "json"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["det_direct"] == data["det_closed"]
 
 
 def test_gram_mode_flags_exclusive():

@@ -73,6 +73,16 @@ def test_det_closed_vs_direct(n):
         assert direct == closed, (n, k)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 10])
+def test_det_closed_vs_direct_at_roots(m):
+    """Fraction-free elimination divides exactly in the cyclotomic field."""
+    mode = root_of_unity(m)
+    for n in range(6):
+        for k in range(n + 1):
+            direct = gram_det_direct(n, k, mode)
+            assert direct == gram_det_closed(n, k, mode), (n, k, m)
+
+
 def test_det_nonzero_generically():
     for n in range(1, 5):
         for k in range(n + 1):

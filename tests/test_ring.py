@@ -17,6 +17,17 @@ laurent = st.dictionaries(
     st.integers(-5, 5),
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
     max_size=5).map(LaurentPoly)
+int_laurent = st.dictionaries(
+    st.integers(-5, 5), st.integers(-9, 9), max_size=5).map(LaurentPoly)
+cyclo_rep = st.lists(
+    st.one_of(st.integers(-9, 9),
+              st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+    max_size=6)
+
+
+def _normalised(v):
+    """An exact coefficient: an int when integral, else a Fraction."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 @given(laurent, laurent, laurent)
@@ -46,6 +57,29 @@ def test_laurent_exact_div_roundtrip(a, b):
 def test_laurent_nonexact_div_raises():
     with pytest.raises(ValueError):
         (LaurentPoly.q() + 1).exact_div(LaurentPoly.q() - 1)
+
+
+@given(int_laurent, int_laurent, st.integers(0, 3))
+def test_laurent_integer_coefficients_stay_int(a, b, j):
+    results = [a + b, a - b, a * b, a ** j, a + 3, 2 - a, a * -2]
+    if not b.is_zero():
+        results.append((a * b).exact_div(b))
+    for p in results:
+        assert all(type(v) is int for v in p.coeffs.values()), p
+
+
+@given(st.sampled_from([3, 4, 5, 6, 8, 10, 12]), cyclo_rep, cyclo_rep)
+def test_cyclo_coefficients_normalised(m, a, b):
+    x, y = CycloElem(m, a), CycloElem(m, b)
+    results = [x, x + y, x - y, x * y, x ** 2]
+    if y:
+        results += [y.inv(), x / y, x.exact_div(y)]
+        assert x.exact_div(y) * y == x
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.exact_div(y)
+    for r in results:
+        assert all(_normalised(v) for v in r.rep), r
 
 
 @given(laurent)
