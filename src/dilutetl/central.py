@@ -16,18 +16,15 @@ The element commutes with the whole algebra and acts on the k-defect
 standard module by the scalar q^(k+1) + q^-(k+1).
 """
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .ring import GENERIC, beta_power
-from .diagram_core import DiluteDiagram, AlgebraElem, all_generators
+from .diagram_core import VACANT, AlgebraElem, DiluteDiagram, all_generators, glue
 from .link_modules import enumerate_links, LinComb, act
 
-# internal pairings of the occupied tile edges, per tile state
-_TILE_EDGES = {
-    "a": (("W", "N"), ("S", "E")),
-    "b": (("W", "S"), ("N", "E")),
-    "c": (("N", "S"),),
-}
+# each tile's edges N, E, S, W are nodes 0..3 of it; its in-tile partners
+_TILE_INNER = {"a": (3, 2, 1, 0), "b": (1, 0, 3, 2), "c": (2, -1, 0, -1)}
 # exponent of sqrt(q) and sign, per column and tile state
 _LEFT_WEIGHT = {"a": (1, 1), "b": (-1, -1), "c": (0, 1)}
 _RIGHT_WEIGHT = {"b": (1, 1), "a": (-1, -1), "c": (0, 1)}
@@ -35,35 +32,43 @@ _RIGHT_WEIGHT = {"b": (1, 1), "a": (-1, -1), "c": (0, 1)}
 
 def _tile_links(n, assignment):
     """
-    Adjacency of the tile network for one assignment of states to rows:
-    nodes are (column, row, edge), edges are in-tile hooks plus the
-    glueing between tiles.  Returns (adjacency, loops is computed later).
+    The tile network of one assignment of (left, right) states to the n
+    rows, as glue() input: edge e of the tile in row j and column c
+    (0 left, 1 right) is node 8*j + 4*c + e.
     """
-    adj = {}
-
-    def join(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for j in range(1, n + 1):
-        lt, rt = assignment[j - 1]
-        for x, y in _TILE_EDGES[lt]:
-            join(("L", j, x), ("L", j, y))
-        for x, y in _TILE_EDGES[rt]:
-            join(("R", j, x), ("R", j, y))
-        # east-west glueing inside the row (both sides occupied iff not 'c')
-        if lt != "c":
-            join(("L", j, "E"), ("R", j, "W"))
-    for j in range(1, n):
-        join(("L", j, "S"), ("L", j + 1, "N"))
-        join(("R", j, "S"), ("R", j + 1, "N"))
-    join(("L", 1, "N"), ("R", 1, "N"))
-    join(("L", n, "S"), ("R", n, "S"))
-    return adj
+    inner = []
+    for base, tile in enumerate(t for row in assignment for t in row):
+        inner += [4 * base + e if e >= 0 else -1 for e in _TILE_INNER[tile]]
+    return inner, _tile_seam(n)
 
 
+@lru_cache(maxsize=None)
+def _tile_seam(n):
+    """
+    The glueing between tiles: east to west inside each row (vacant on
+    both sides in a 'c' row), south to north between rows, and the two
+    columns joined at the top and the bottom.  The west edges of the left
+    column and the east edges of the right column are the outer boundary.
+    """
+    pairs = [(0, 4), (8 * n - 6, 8 * n - 2)]
+    for j in range(n):
+        pairs.append((8 * j + 1, 8 * j + 7))
+        if j < n - 1:
+            pairs += [(8 * j + 2, 8 * j + 8), (8 * j + 6, 8 * j + 12)]
+    seam = [-1] * (8 * n)
+    for u, v in pairs:
+        seam[u], seam[v] = v, u
+    return tuple(seam)
+
+
+@lru_cache(maxsize=None)
 def build_F(n, mode=GENERIC):
-    """The central element on n sites, expanded into diagrams."""
+    """
+    The central element on n sites, expanded into diagrams.  Memoised per
+    (n, mode): callers get a shared element and must not change its terms.
+    """
+    if n < 1:
+        raise ValueError("the tile assembly needs n >= 1, not %d" % n)
     row_options = [("c", "c")] + [(l, r) for l in "ab" for r in "ab"]
     terms = {}
     for assignment in iproduct(row_options, repeat=n):
@@ -77,53 +82,27 @@ def build_F(n, mode=GENERIC):
             sexp += e
             sign *= s
         assert sexp % 2 == 0, "half powers of q must cancel"
-        adj = _tile_links(n, assignment)
-        # outer points: west edges of left tiles, east edges of right tiles
-        outer = {}
-        for j in range(1, n + 1):
-            lt, rt = assignment[j - 1]
-            if lt != "c":
-                outer[("L", j, "W")] = j - 1       # left slot, top to bottom
-            if rt != "c":
-                outer[("R", j, "E")] = 2 * n - j   # right slot, bottom to top
-        visited = set()
-        pairs = []
-        for start, slot in outer.items():
-            if start in visited:
-                continue
-            visited.add(start)
-            prev, cur = None, start
-            while True:
-                nxt = [x for x in adj[cur] if x != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                visited.add(cur)
-                if cur in outer:
-                    break
-            pairs.append((slot, outer[cur]))
-        loops = 0
-        for node in adj:
-            if node in visited:
-                continue
-            loops += 1
-            prev, cur = None, node
-            visited.add(node)
-            while True:
-                nxt = [x for x in adj[cur] if x != prev]
-                prev, cur = cur, nxt[0]
-                if cur == node:
-                    break
-                visited.add(cur)
+        ends, loops = glue(*_tile_links(n, assignment))
+        # outer points: west edges of left tiles down the left side, east
+        # edges of right tiles up the right side
+        pairing = [VACANT] * (2 * n)
+        for e, o in ends.items():
+            pairing[_outer_slot(n, e)] = _outer_slot(n, o)
         coeff = mode.q_power(sexp // 2) * mode.const(sign)
         coeff = coeff * beta_power(mode, loops)
-        d = DiluteDiagram.from_pairs(n, pairs)
+        d = DiluteDiagram(n, pairing)
         w = terms.get(d, mode.zero()) + coeff
         if w:
             terms[d] = w
         else:
             terms.pop(d, None)
     return AlgebraElem(n, mode, terms)
+
+
+def _outer_slot(n, node):
+    """Diagram slot of an outer node: a west edge (3 mod 8) or an east edge (5 mod 8)."""
+    j = node // 8
+    return j if node % 8 == 3 else 2 * n - 1 - j
 
 
 def delta(k, mode=GENERIC):

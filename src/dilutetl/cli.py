@@ -6,8 +6,7 @@ Commands: `dims` (standard-module dimension table), `irr` (irreducible
 dimension table, computed three independent ways), `gram` (matrix,
 determinants and radical for one module) and `verify` (named invariant
 suites with machine-readable verdicts).  Every command exits nonzero if
-any internal cross-check fails.  Set DTL_CACHE_DIR to cache the
-irreducible-dimension tables between runs.
+any internal cross-check fails.
 """
 
 import json
@@ -93,21 +92,14 @@ def _emit(fmt, rows, title, extra):
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cached_irr_table(n_max, ell):
-    """Irreducible-dimension table, memoized on disk when DTL_CACHE_DIR is set."""
-    cache_dir = os.environ.get("DTL_CACHE_DIR")
-    if not cache_dir:
-        return irr_dims_recurrence(n_max, ell)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, "irr_ell%d_n%d.json" % (ell, n_max))
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return tuple(tuple(row) for row in data)
-    table = irr_dims_recurrence(n_max, ell)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([list(r) for r in table], fh)
-    return table
+def _render(mat):
+    """
+    str() of every cell, rendered once per distinct object: the cells are
+    one shared zero and the memoised loop-weight powers.
+    """
+    cells = {id(v): v for row in mat for v in row}
+    text = {key: str(v) for key, v in cells.items()}
+    return [[text[id(v)] for v in row] for row in mat]
 
 
 @click.group()
@@ -155,7 +147,7 @@ def irr(n_max, m, fmt, nullity_n_max):
     mode = _mode_from_flags(False, m)
     _check_n_max(n_max, DEFAULT_TABLE_CAP)
     ell = mode.ell
-    table = _cached_irr_table(n_max, ell)
+    table = irr_dims_recurrence(n_max, ell)
     rows = [list(table[n]) for n in range(n_max + 1)]
     mismatches = []
     for n in range(n_max + 1):
@@ -201,7 +193,7 @@ def gram(n, k, generic, m, fmt, cap_override):
            "dim": dim_standard(n, k),
            "blocks": [{"start": s, "end": e, "occupied": occ}
                       for s, e, occ in blocks],
-           "matrix": [[str(v) for v in row] for row in mat]}
+           "matrix": _render(mat)}
     if n <= det_cap:
         out["det_direct"] = str(gram_det_direct(n, k, mode))
         out["det_closed"] = str(gram_det_closed(n, k, mode))

@@ -10,13 +10,18 @@ non-interleaving of partner pairs in circular order.
 
 The product glues two diagrams side by side; each closed floating loop
 contributes a factor beta, and any string that meets a vacancy kills the
-product.
+product.  glue() is the one routine that follows strings: the product, the
+action on link states, the bilinear form and the tile-built central element
+each number their nodes, call it and read off the result.
 """
+
+from functools import lru_cache
 
 from .ring import GENERIC, beta_power
 
 
 VACANT = None
+DEFECT = -2  # glue() input: a string stops at this node
 
 
 class DiluteDiagram:
@@ -26,11 +31,15 @@ class DiluteDiagram:
 
     def __init__(self, n, pairing):
         pairing = tuple(pairing)
-        assert len(pairing) == 2 * n
+        size = 2 * n
+        if len(pairing) != size:
+            raise ValueError("a diagram on %d sites has %d slots, not %d"
+                             % (n, size, len(pairing)))
         for i, p in enumerate(pairing):
-            if p is not VACANT:
-                assert p != i and pairing[p] == i, "pairing must be an involution"
-        assert _noncrossing(pairing), "strings must not cross"
+            if p is not VACANT and not (0 <= p < size and p != i and pairing[p] == i):
+                raise ValueError("pairing must be an involution: %r" % (pairing,))
+        if not _noncrossing(pairing):
+            raise ValueError("strings must not cross: %r" % (pairing,))
         self.n = n
         self.pairing = pairing
 
@@ -103,72 +112,80 @@ def crossing_count(d):
     return sum(1 for i, p in enumerate(d.pairing) if p is not VACANT and i < d.n <= p)
 
 
+def glue(inner, seam):
+    """
+    Glue two planar pieces and follow their strings.  Nodes are 0..N-1;
+    inner[i] is i's partner inside its own piece (-1 for a vacancy, DEFECT
+    where a string stops) and seam[i] the node glued to i across the cut
+    (-1 on the outer boundary).  Returns None when a string meets a
+    vacancy, otherwise (ends, loops): ends maps each end of an open path
+    (an outer node or a DEFECT) to the path's other end, and loops counts
+    the closed loops.  Both lists must be involutions on their
+    non-negative entries; only the first N entries of seam are read.
+    """
+    seen = bytearray(len(inner))
+    ends = {}
+    loops = 0
+    # first the paths, from every end; what is left unseen lies on loops
+    for first in (True, False):
+        for start, p in enumerate(inner):
+            if p == -1 or seen[start]:
+                continue
+            on_seam = p == DEFECT
+            if first and not on_seam and seam[start] >= 0:
+                continue
+            i = start
+            while True:
+                seen[i] = 1
+                j = seam[i] if on_seam else inner[i]
+                if j < 0 or seen[j]:
+                    break
+                if inner[j] == -1:
+                    return None
+                i = j
+                on_seam = not on_seam
+            if j < 0:
+                ends[start] = i
+                ends[i] = start
+            else:
+                loops += 1
+    return ends, loops
+
+
+def slot_nodes(d, offset=0):
+    """A diagram's pairing as glue() input, its slots numbered from offset."""
+    return [-1 if p is VACANT else p + offset for p in d.pairing]
+
+
+@lru_cache(maxsize=None)
+def product_seam(n):
+    """Seam of a product: a's slots are nodes 0..2n-1, b's slots 2n..4n-1."""
+    size = 2 * n
+    return ((-1,) * n + tuple(2 * size - 1 - j for j in range(n, size))
+            + tuple(size - 1 - t for t in range(n)) + (-1,) * n)
+
+
 def multiply_diagrams_raw(a, b):
     """
     Concatenate two diagrams (a on the left).  Returns (loops, diagram) with
     the number of closed floating loops, or (0, None) when the product is
     zero because a string meets a vacancy at the glued boundary.
     """
-    assert a.n == b.n, "diagram sizes differ"
+    if a.n != b.n:
+        raise ValueError("diagram sizes differ: %d and %d" % (a.n, b.n))
     n = a.n
-    # interface site s (1..n): a's slot 2n - s meets b's slot s - 1
-    for s in range(1, n + 1):
-        if (a.pairing[2 * n - s] is VACANT) != (b.pairing[s - 1] is VACANT):
+    size = 2 * n
+    # most products vanish: reject a vacancy mismatch before any list is
+    # built (a's slot 2n-1-s meets b's slot s)
+    ap, bp = a.pairing, b.pairing
+    for s in range(n):
+        if (ap[size - 1 - s] is VACANT) != (bp[s] is VACANT):
             return 0, None
-
-    # Walk strings through the glued structure.  Nodes are ('a', slot) and
-    # ('b', slot); each interior node has degree two (its own pairing edge
-    # plus the interface identification), outer nodes degree one.
-    def neighbors(node):
-        side, slot = node
-        d = a if side == "a" else b
-        out = []
-        p = d.pairing[slot]
-        out.append((side, p))
-        if side == "a" and slot >= n:
-            out.append(("b", 2 * n - 1 - slot))
-        if side == "b" and slot < n:
-            out.append(("a", 2 * n - 1 - slot))
-        return out
-
-    outer = [("a", s) for s in range(n) if a.pairing[s] is not VACANT]
-    outer += [("b", s) for s in range(n, 2 * n) if b.pairing[s] is not VACANT]
-    visited = set()
-    new_pairs = []
-    for start in outer:
-        if start in visited:
-            continue
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in neighbors(cur) if x != prev]
-            # at the very first step both neighbors are unvisited; pick the
-            # pairing edge first, then follow degree-2 interior nodes
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            side, slot = cur
-            if (side == "a" and slot < n) or (side == "b" and slot >= n):
-                break  # reached an outer point
-        new_pairs.append((start[1], cur[1]))
-
-    # remaining unvisited interior nodes form closed loops
-    interior = [("a", s) for s in range(n, 2 * n) if a.pairing[s] is not VACANT]
-    interior += [("b", s) for s in range(n) if b.pairing[s] is not VACANT]
-    loops = 0
-    for start in interior:
-        if start in visited:
-            continue
-        loops += 1
-        prev, cur = None, start
-        visited.add(start)
-        while True:
-            nxt = [x for x in neighbors(cur) if x != prev]
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            visited.add(cur)
-    out = DiluteDiagram.from_pairs(n, new_pairs)
-    return loops, out
+    ends, loops = glue(slot_nodes(a) + slot_nodes(b, size), product_seam(n))
+    pairing = [VACANT] * size
+    for e, o in ends.items():
+        pairing[e if e < n else e - size] = o if o < n else o - size
+    return loops, DiluteDiagram(n, pairing)
 
 
 class AlgebraElem:

@@ -16,53 +16,32 @@ from functools import lru_cache
 from math import comb
 
 from .ring import GENERIC, beta_power
-from .link_modules import enumerate_links, dim_standard
+from .diagram_core import glue
+from .link_modules import dim_standard, enumerate_links, site_nodes
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
 
 
 def gram_product(x, y, mode=GENERIC):
     """Pairing of two same-size link states with the same defect count."""
     n = x.n
-    assert y.n == n and x.defect_count() == y.defect_count()
-    for i in range(n):
-        if (x.sites[i] == "V") != (y.sites[i] == "V"):
+    if y.n != n or x.defect_count() != y.defect_count():
+        raise ValueError("states %s and %s differ in size or defect count"
+                         % (x.text(), y.text()))
+    for a, b in zip(x.sites, y.sites):  # the cheap early reject
+        if (a == "V") != (b == "V"):
             return mode.zero()
-    # walk components over nodes ('x', i) / ('y', i); edges: arcs + gluing
-    def step(side, i, from_glue):
-        sites = x.sites if side == "x" else y.sites
-        if from_glue:
-            s = sites[i]
-            if s == "D":
-                return None  # path ends on a defect
-            return (side, s, False)  # continue along the arc
-        return ("y" if side == "x" else "x", i, True)  # cross the mirror
-
-    visited = set()
-    loops = 0
-    # paths start at defects; each must end at a defect of the other state
-    for side, sites in (("x", x.sites), ("y", y.sites)):
-        for i, s in enumerate(sites):
-            if s != "D" or (side, i) in visited:
-                continue
-            visited.add((side, i))
-            cur = (("y" if side == "x" else "x"), i, True)
-            while cur is not None:
-                visited.add(cur[:2])
-                end_side = cur[0]
-                nxt = step(*cur)
-                cur = nxt
-            if end_side == side:
-                return mode.zero()  # two defects of the same state joined
-    # remaining components through occupied sites are closed loops
-    for i in range(n):
-        if x.sites[i] == "V" or ("x", i) in visited:
-            continue
-        cur = ("x", i, False)
-        while cur[:2] not in visited:
-            visited.add(cur[:2])
-            cur = step(*cur)
-        loops += 1
+    # nodes: x's sites, then y's sites; site i of x is glued to site i of y
+    ends, loops = glue(site_nodes(x) + site_nodes(y, n), _mirror_seam(n))
+    for e, o in ends.items():
+        if (e < n) == (o < n):
+            return mode.zero()  # two defects of the same state joined
     return beta_power(mode, loops)
+
+
+@lru_cache(maxsize=None)
+def _mirror_seam(n):
+    """Seam of a pairing: node i (a site of x) meets node n + i (of y)."""
+    return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
 def gram_matrix(n, k, mode=GENERIC):

@@ -14,7 +14,8 @@ from functools import lru_cache
 from math import comb
 
 from .ring import GENERIC, beta_power
-from .diagram_core import DiluteDiagram, AlgebraElem, VACANT
+from .diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
+                           product_seam, slot_nodes, glue)
 from .tl_reference import dim_v
 
 
@@ -32,20 +33,22 @@ class LinkState:
             if s == "V":
                 continue
             if s == "D":
-                assert not stack, "defect nested under an arc"
+                if stack:
+                    raise ValueError("defect nested under an arc: %r" % (sites,))
                 continue
-            assert isinstance(s, int) and sites[s] == i and s != i
+            if not (isinstance(s, int) and 0 <= s < n and s != i and sites[s] == i):
+                raise ValueError("arc ends must point at each other: %r" % (sites,))
             if s > i:
                 stack.append(s)
+            elif stack[-1] != i:
+                raise ValueError("arcs must not cross: %r" % (sites,))
             else:
-                assert stack and stack[-1] == i, "arcs must not cross"
                 stack.pop()
-        assert not stack
         self.n = n
         self.sites = sites
 
     def defect_count(self):
-        return sum(1 for s in self.sites if s == "D")
+        return self.sites.count("D")
 
     def vacancy_positions(self):
         return tuple(i for i, s in enumerate(self.sites) if s == "V")
@@ -74,12 +77,15 @@ class LinkState:
                 sites.append(None)
                 stack.append(i)
             elif ch == ")":
+                if not stack:
+                    raise ValueError("unbalanced arcs in %r" % text)
                 j = stack.pop()
                 sites[j] = i
                 sites.append(j)
             else:
                 raise ValueError("bad link character %r" % ch)
-        assert not stack, "unbalanced arcs"
+        if stack:
+            raise ValueError("unbalanced arcs in %r" % text)
         return LinkState(sites)
 
     def sort_key(self):
@@ -208,6 +214,11 @@ def dim_standard(n, k):
     return by_blocks
 
 
+def site_nodes(v, offset=0):
+    """A link state's sites as glue() input, numbered from offset."""
+    return [-1 if s == "V" else DEFECT if s == "D" else s + offset for s in v.sites]
+
+
 def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     """
     Act with a single diagram on a single link state.  Returns a LinComb.
@@ -215,72 +226,20 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     states with fewer than quotient_k defects are dropped.
     """
     n = d.n
-    assert v.n == n
-    # interface: diagram right site s (slot 2n - s) meets link site s (index s-1)
-    for s in range(1, n + 1):
-        if (d.pairing[2 * n - s] is VACANT) != (v.sites[s - 1] == "V"):
+    if v.n != n:
+        raise ValueError("diagram on %d sites, state on %d" % (n, v.n))
+    size = 2 * n
+    # the cheap early reject: diagram slot 2n-1-i meets link site i
+    for i, s in enumerate(v.sites):
+        if (d.pairing[size - 1 - i] is VACANT) != (s == "V"):
             return LinComb(n, mode)
-
-    # nodes: ('d', slot) in the diagram, ('v', site-index) in the link state
-    def neighbors(node):
-        kind, idx = node
-        out = []
-        if kind == "d":
-            p = d.pairing[idx]
-            if p is not VACANT:
-                out.append(("d", p))
-            if idx >= n:
-                out.append(("v", 2 * n - 1 - idx))
-        else:
-            entry = v.sites[idx]
-            if isinstance(entry, int):
-                out.append(("v", entry))
-            out.append(("d", 2 * n - 1 - idx))
-        return out
-
-    # endpoints: diagram left slots (occupied) and link defects
-    left_nodes = [("d", s) for s in range(n) if d.pairing[s] is not VACANT]
-    defect_nodes = [("v", i) for i, s in enumerate(v.sites) if s == "D"]
-    visited = set()
-    new_sites = [None] * n
-    for s in range(n):
-        if d.pairing[s] is VACANT:
-            new_sites[s] = "V"
-    loops = 0
-    for start in left_nodes + defect_nodes:
-        if start in visited:
-            continue
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in neighbors(cur) if x != prev]
-            if not nxt:
-                break  # ended at a defect site of the link state
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            if cur[0] == "d" and cur[1] < n:
-                break  # reached the new boundary
-        end = cur
-        a_out = start[0] == "d" and start[1] < n
-        b_out = end[0] == "d" and end[1] < n
-        if a_out and b_out:
-            i, j = start[1], end[1]
-            new_sites[i], new_sites[j] = j, i
-        elif a_out or b_out:
-            new_sites[start[1] if a_out else end[1]] = "D"
-        # else: the string joins two defects of the state and is removed
-    # untouched interior components are closed loops
-    interior = [("d", s) for s in range(n, 2 * n) if d.pairing[s] is not VACANT]
-    for start in interior:
-        if start in visited:
-            continue
-        loops += 1
-        prev, cur = None, start
-        visited.add(start)
-        while cur != start or prev is None:
-            nxt = [x for x in neighbors(cur) if x != prev]
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
+    # nodes: the diagram's slots, then the link sites where a right-hand
+    # factor's left slots would be, so the product's seam serves
+    ends, loops = glue(slot_nodes(d) + site_nodes(v, size), product_seam(n))
+    new_sites = ["V" if p is VACANT else None for p in d.pairing[:n]]
+    for e, o in ends.items():
+        if e < n:
+            new_sites[e] = o if o < n else "D"
     out_state = LinkState(new_sites)
     if quotient_k is not None and out_state.defect_count() < quotient_k:
         return LinComb(n, mode)

@@ -84,17 +84,6 @@ def test_irr_n_max_out_of_range(n_max, fmt):
     assert res.exit_code == 2 and "--n-max must be between 0 and 12" in res.output
 
 
-def test_irr_cache_dir(tmp_path):
-    env = {"DTL_CACHE_DIR": str(tmp_path)}
-    res1 = _run(["irr", "--n-max", "6", "--root-of-unity", "6",
-                 "--nullity-n-max", "0", "--format", "csv"], env=env)
-    assert res1.exit_code == 0
-    assert (tmp_path / "irr_ell3_n6.json").exists()
-    res2 = _run(["irr", "--n-max", "6", "--root-of-unity", "6",
-                 "--nullity-n-max", "0", "--format", "csv"], env=env)
-    assert res2.output == res1.output
-
-
 def test_gram_small_determinants():
     res = _run(["gram", "--n", "2", "--k", "0", "--format", "json"])
     data = json.loads(res.output)

@@ -1,18 +1,27 @@
 """Dilute diagrams, their product, generators and filtration."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import motzkin
 
 from dilutetl.ring import GENERIC, root_of_unity
-from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
-                                   crossing_count, enumerate_diagrams,
-                                   generator, identity, multiply_diagrams_raw,
+from dilutetl.diagram_core import (DEFECT, AlgebraElem, DiluteDiagram,
+                                   all_generators, crossing_count,
+                                   enumerate_diagrams, generator, glue,
+                                   identity, multiply_diagrams_raw,
                                    parity_split, projector_pi,
                                    reduce_mod_ideal, transpose,
                                    transpose_diagram)
-from dilutetl.link_modules import base_vd_state
+from dilutetl.link_modules import LinkState, act_diagram, base_vd_state
+from dilutetl.gram import gram_product
+from dilutetl.central import build_F
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 settings.register_profile("fixed", derandomize=True, max_examples=40)
 settings.load_profile("fixed")
@@ -32,8 +41,75 @@ def test_enumeration_cap():
 
 
 def test_crossing_pairs_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiluteDiagram.from_pairs(2, [(0, 2), (1, 3)])
+    with pytest.raises(ValueError):
+        DiluteDiagram(2, (1, 2, 0, None))  # not an involution
+    with pytest.raises(ValueError):
+        DiluteDiagram(2, (1, 0, None))  # wrong number of slots
+    with pytest.raises(ValueError):
+        DiluteDiagram(1, (1, 4))  # partner out of range
+
+
+def test_malformed_input_raises_under_optimize():
+    # the checks must not be asserts, which python -O strips
+    code = "\n".join([
+        "from dilutetl.diagram_core import DiluteDiagram",
+        "from dilutetl.link_modules import LinkState",
+        "for make in (lambda: DiluteDiagram(2, (2, 3, 0, 1)),",
+        "             lambda: DiluteDiagram(2, (1, 2, 0, None)),",
+        "             lambda: LinkState.from_text('(D)')):",
+        "    try:",
+        "        make()",
+        "    except ValueError:",
+        "        continue",
+        "    raise SystemExit('accepted')",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_glue_closed_loop():
+    # an arc of each piece, glued at both ends: one loop, no open path
+    assert glue([1, 0, 3, 2], [2, 3, 0, 1]) == ({}, 1)
+
+
+def test_glue_defect_to_defect():
+    # defect 0 -- seam -- arc 1-2 -- seam -- defect 3
+    assert glue([DEFECT, 2, 1, DEFECT], [1, 0, 3, 2]) == ({0: 3, 3: 0}, 0)
+
+
+def test_glue_outer_to_outer():
+    # outer 0 -- arc -- 1 -- seam -- 2 -- arc -- outer 3, beside a loop 4..7
+    inner = [1, 0, 3, 2, 5, 4, 7, 6]
+    seam = [-1, 2, 1, -1, 6, 7, 4, 5]
+    assert glue(inner, seam) == ({0: 3, 3: 0}, 1)
+
+
+def test_glue_vacancy_mismatch():
+    # a string reaches the seam where the other piece has a vacancy
+    assert glue([1, 0, -1, -1], [-1, 2, 1, -1]) is None
+    assert glue([-1, -1, 3, 2], [-1, 2, 1, -1]) is None
+    # vacancy against vacancy is no mismatch
+    assert glue([-1, -1, -1], [-1, 2, 1]) == ({}, 0)
+
+
+def test_callers_reject_mismatched_sizes():
+    d1, d2 = enumerate_diagrams(1)[0], enumerate_diagrams(2)[0]
+    with pytest.raises(ValueError):
+        multiply_diagrams_raw(d1, d2)
+    with pytest.raises(ValueError):
+        act_diagram(d2, LinkState.from_text("D"))
+    with pytest.raises(ValueError):
+        gram_product(LinkState.from_text("DD"), LinkState.from_text("()"))
+    with pytest.raises(ValueError):
+        gram_product(LinkState.from_text("D"), LinkState.from_text("DV"))
+    with pytest.raises(ValueError):
+        build_F(0)
 
 
 def test_identity_neutral():

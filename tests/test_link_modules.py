@@ -30,10 +30,16 @@ def test_text_roundtrip():
 
 
 def test_invalid_states_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         LinkState.from_text("(D)")  # defect under an arc would cross it
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         LinkState.from_text("((")
+    with pytest.raises(ValueError):
+        LinkState.from_text("())")
+    with pytest.raises(ValueError):
+        LinkState((2, "V", 1))  # partners that do not point at each other
+    with pytest.raises(ValueError):
+        LinkState((2, 3, 0, 1))  # crossing arcs
 
 
 def test_enumeration_matches_dimension():
