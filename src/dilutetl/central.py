@@ -12,14 +12,27 @@ match, which forces the two tiles of a row to be 'c' together; the
 surviving assignments produce diagrams whose coefficients are genuine
 Laurent polynomials (the half powers of q always cancel).
 
+The element is expanded by a transfer over the rows, not by walking the
+5^n assignments one by one.  After rows 0..j the partly glued network is
+known by its connectivity: the pairing of the boundary slots seen so far,
+two of which may still be open, joined to the left and the right cut end
+under row j; with no slot open the two cut ends are joined to each other,
+as under the top cap where the transfer starts.  Gluing a row under a
+state is one glue() call, which depends only on the row and on whether
+the cut ends are open; states that coincide are merged.  Each state
+carries integer counts per (exponent of sqrt(q), closed loops), the sign
+folded into the count.  The bottom cup then joins the two open slots or
+closes one more loop.  None of this depends on the coefficient ring, so
+it is built once per n; each mode only sums count * q^(e/2) * beta^loops
+per diagram.
+
 The element commutes with the whole algebra and acts on the k-defect
 standard module by the scalar q^(k+1) + q^-(k+1).
 """
 
 from functools import lru_cache
-from itertools import product as iproduct
 
-from .ring import GENERIC, beta_power
+from .ring import GENERIC, LaurentPoly, beta_power
 from .diagram_core import VACANT, AlgebraElem, DiluteDiagram, all_generators, glue
 from .link_modules import enumerate_links, LinComb, act
 
@@ -28,37 +41,91 @@ _TILE_INNER = {"a": (3, 2, 1, 0), "b": (1, 0, 3, 2), "c": (2, -1, 0, -1)}
 # exponent of sqrt(q) and sign, per column and tile state
 _LEFT_WEIGHT = {"a": (1, 1), "b": (-1, -1), "c": (0, 1)}
 _RIGHT_WEIGHT = {"b": (1, 1), "a": (-1, -1), "c": (0, 1)}
+# the (left, right) tiles a row can carry
+ROW_OPTIONS = (("c", "c"),) + tuple((l, r) for l in "ab" for r in "ab")
+
+# glue() nodes of one row step: the old left and right cut ends 0 and 1,
+# the open slots joined to them 2 and 3, and edge e of the row's tile in
+# column c at 4 + 4*c + e.  The cut ends meet the north edges and the
+# tiles meet east to west; the west edge of the left tile and the east
+# edge of the right tile are the row's slots, the south edges the new cut
+# ends.
+_STEP_SEAM = (4, 8, -1, -1, 0, 11, -1, -1, 1, -1, -1, 5)
+_WEST, _EAST, _CUT_L, _CUT_R = 7, 9, 6, 10
 
 
-def _tile_links(n, assignment):
-    """
-    The tile network of one assignment of (left, right) states to the n
-    rows, as glue() input: edge e of the tile in row j and column c
-    (0 left, 1 right) is node 8*j + 4*c + e.
-    """
+def _tile_links(row):
+    """In-tile partners of one row's (left, right) tiles, as glue() nodes 4..11."""
     inner = []
-    for base, tile in enumerate(t for row in assignment for t in row):
-        inner += [4 * base + e if e >= 0 else -1 for e in _TILE_INNER[tile]]
-    return inner, _tile_seam(n)
+    for c, tile in enumerate(row):
+        inner += [4 + 4 * c + e if e >= 0 else -1 for e in _TILE_INNER[tile]]
+    return inner
 
 
 @lru_cache(maxsize=None)
-def _tile_seam(n):
+def _row_steps(is_open):
     """
-    The glueing between tiles: east to west inside each row (vacant on
-    both sides in a 'c' row), south to north between rows, and the two
-    columns joined at the top and the bottom.  The west edges of the left
-    column and the east edges of the right column are the outer boundary.
+    Every row option glued under a state whose cut ends are joined to two
+    open slots (is_open) or to each other.  Per option: the pairs of slot
+    nodes joined through the row, the slot nodes joined to the new left
+    and right cut ends (None when these are joined to each other), the
+    closed loops, the exponent of sqrt(q) and the sign.
     """
-    pairs = [(0, 4), (8 * n - 6, 8 * n - 2)]
+    above = [2, 3, 0, 1] if is_open else [1, 0, -1, -1]
+    steps = []
+    for row in ROW_OPTIONS:
+        ends, loops = glue(above + _tile_links(row), _STEP_SEAM)
+        pairs = tuple((a, b) for a, b in ends.items()
+                      if a < b and not {a, b} & {_CUT_L, _CUT_R})
+        cut = None if ends[_CUT_L] == _CUT_R else (ends[_CUT_L], ends[_CUT_R])
+        (le, ls), (re, rs) = _LEFT_WEIGHT[row[0]], _RIGHT_WEIGHT[row[1]]
+        steps.append((pairs, cut, loops, le + re, ls * rs))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _row_transfer(n):
+    """
+    The central element on n sites before any ring is chosen: a tuple of
+    (diagram, {loops: {exponent of q: count}}).
+    """
+    size = 2 * n
+    # state: (slot pairing so far, the slots joined to the left and right
+    # cut ends or None); value: {(exponent of sqrt(q), loops): count}
+    states = {((VACANT,) * size, None): {(0, 0): 1}}
     for j in range(n):
-        pairs.append((8 * j + 1, 8 * j + 7))
-        if j < n - 1:
-            pairs += [(8 * j + 2, 8 * j + 8), (8 * j + 6, 8 * j + 12)]
-    seam = [-1] * (8 * n)
-    for u, v in pairs:
-        seam[u], seam[v] = v, u
-    return tuple(seam)
+        merged = {}
+        for (pairing, cut), weights in states.items():
+            slot = {_WEST: j, _EAST: size - 1 - j}
+            if cut is not None:
+                slot[2], slot[3] = cut
+            for pairs, new_cut, loops, sexp, sign in _row_steps(cut is not None):
+                p = list(pairing)
+                for a, b in pairs:
+                    p[slot[a]], p[slot[b]] = slot[b], slot[a]
+                if new_cut is not None:
+                    new_cut = (slot[new_cut[0]], slot[new_cut[1]])
+                acc = merged.setdefault((tuple(p), new_cut), {})
+                for (e, l), c in weights.items():
+                    w = (e + sexp, l + loops)
+                    acc[w] = acc.get(w, 0) + sign * c
+        states = merged
+    closed = {}
+    for (pairing, cut), weights in states.items():
+        # the bottom cup joins the open slots, or the cut ends into a loop
+        p = list(pairing)
+        if cut is None:
+            cup_loops = 1
+        else:
+            cup_loops = 0
+            p[cut[0]], p[cut[1]] = cut[1], cut[0]
+        acc = closed.setdefault(tuple(p), {})
+        for (e, l), c in weights.items():
+            if e % 2:
+                raise ArithmeticError("half powers of q must cancel")
+            by_q = acc.setdefault(l + cup_loops, {})
+            by_q[e // 2] = by_q.get(e // 2, 0) + c
+    return tuple((DiluteDiagram(n, p), by_loops) for p, by_loops in closed.items())
 
 
 @lru_cache(maxsize=None)
@@ -69,40 +136,13 @@ def build_F(n, mode=GENERIC):
     """
     if n < 1:
         raise ValueError("the tile assembly needs n >= 1, not %d" % n)
-    row_options = [("c", "c")] + [(l, r) for l in "ab" for r in "ab"]
     terms = {}
-    for assignment in iproduct(row_options, repeat=n):
-        sexp = 0
-        sign = 1
-        for lt, rt in assignment:
-            e, s = _LEFT_WEIGHT[lt]
-            sexp += e
-            sign *= s
-            e, s = _RIGHT_WEIGHT[rt]
-            sexp += e
-            sign *= s
-        assert sexp % 2 == 0, "half powers of q must cancel"
-        ends, loops = glue(*_tile_links(n, assignment))
-        # outer points: west edges of left tiles down the left side, east
-        # edges of right tiles up the right side
-        pairing = [VACANT] * (2 * n)
-        for e, o in ends.items():
-            pairing[_outer_slot(n, e)] = _outer_slot(n, o)
-        coeff = mode.q_power(sexp // 2) * mode.const(sign)
-        coeff = coeff * beta_power(mode, loops)
-        d = DiluteDiagram(n, pairing)
-        w = terms.get(d, mode.zero()) + coeff
-        if w:
-            terms[d] = w
-        else:
-            terms.pop(d, None)
+    for d, by_loops in _row_transfer(n):
+        coeff = LaurentPoly.zero()
+        for loops, by_q in by_loops.items():
+            coeff = coeff + LaurentPoly(by_q) * beta_power(GENERIC, loops)
+        terms[d] = mode.convert(coeff)
     return AlgebraElem(n, mode, terms)
-
-
-def _outer_slot(n, node):
-    """Diagram slot of an outer node: a west edge (3 mod 8) or an east edge (5 mod 8)."""
-    j = node // 8
-    return j if node % 8 == 3 else 2 * n - 1 - j
 
 
 def delta(k, mode=GENERIC):

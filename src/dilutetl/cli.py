@@ -369,9 +369,13 @@ def _suite_structure(rng):
         for n in range(1, 7):
             rep = restriction_induction_report(n, mode.ell)
             checks.append(("res_ind_n%d_m%d" % (n, m), rep["all_pass"]))
+        balanced = True
         for n in range(1, 8):
-            regular_decomposition(n, mode)  # raises on imbalance
-        checks.append(("regular_m%d" % m, True))
+            try:
+                regular_decomposition(n, mode)
+            except ArithmeticError:  # the multiplicities miss the algebra dimension
+                balanced = False
+        checks.append(("regular_m%d" % m, balanced))
     checks.append(("cellularity_n2", all(
         verify_cellularity(2, k) for k in range(3))))
     return checks

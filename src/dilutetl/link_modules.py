@@ -210,7 +210,9 @@ def dim_standard(n, k):
     by_blocks = sum(comb(n, k + 2 * p) * dim_v(k + 2 * p, k)
                     for p in range((n - k) // 2 + 1))
     by_trinomial = _trinomial(n, k) - _trinomial(n, k + 2)
-    assert by_blocks == by_trinomial, (n, k, by_blocks, by_trinomial)
+    if by_blocks != by_trinomial:
+        raise ArithmeticError("dim U(%d, %d): %d by blocks, %d by trinomials"
+                              % (n, k, by_blocks, by_trinomial))
     return by_blocks
 
 

@@ -122,7 +122,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative power of a Laurent polynomial: %d" % n)
         out = LaurentPoly.one()
         base = self
         while n:
@@ -339,10 +340,10 @@ class CycloElem:
     @staticmethod
     def from_laurent(m, p):
         """Specialize a Laurent polynomial at the primitive m-th root."""
-        out = CycloElem.zero(m)
+        dense = [0] * m
         for e, v in p.coeffs.items():
-            out = out + CycloElem.q(m, e) * CycloElem.const(m, v)
-        return out
+            dense[e % m] += v  # q^m = 1
+        return CycloElem(m, dense)
 
     def is_zero(self):
         return not any(self.rep)
@@ -399,7 +400,8 @@ class CycloElem:
 
     def inv(self):
         """Multiplicative inverse; the quotient ring is a field."""
-        assert not self.is_zero(), "zero is not invertible"
+        if self.is_zero():
+            raise ZeroDivisionError("zero is not invertible")
         phi = CycloElem.phi(self.m)
         g, s, _ = _poly_ext_gcd(list(self.rep), phi)
         assert len(g) == 1 and g[0] != 0

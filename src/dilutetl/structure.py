@@ -160,7 +160,9 @@ def regular_decomposition(n, mode):
             kind = "U" if info["critical"] or k < ell - 1 else "P"
             out.append(((kind, k), dim_irr(n, k, ell)))
         total = sum(m * pdims[k] for (_t, k), m in out)
-    assert total == algebra_dim(n), (total, algebra_dim(n))
+    if total != algebra_dim(n):
+        raise ArithmeticError("regular module of size %d: %d, not %d"
+                              % (n, total, algebra_dim(n)))
     return out
 
 
@@ -195,36 +197,28 @@ def verify_cellularity(n, k, mode=GENERIC):
     gens = [("id", identity(n, mode))] + list(all_generators(n, mode))
     for _lab, u in gens:
         for x in basis:
-            ref = None
+            # same coefficients as the standard-module action, for every y
+            action = dict(act(u, x, quotient_k=k).terms)
             for y in basis:
                 c = AlgebraElem(n, mode,
                                 {diagram_from_links(x, y): mode.one()})
-                coeffs = _coeff_map(u * c, k, y)
-                if coeffs is None:
-                    return False
-                # same coefficients as the standard-module action
-                action = act(u, x, quotient_k=k)
-                if coeffs != dict(action.terms):
-                    return False
-                if ref is None:
-                    ref = coeffs
-                elif coeffs != ref:
+                if _coeff_map(u * c, k, y) != action:
                     return False
     # sandwich rule: |x y~| u |x' y''~| = <y, u x'> |x y''| mod lower
     for _lab, u in gens:
+        uxps = [(xp, act(u, xp, quotient_k=k)) for xp in basis]
         for x in basis[:2]:
             for y in basis:
-                for xp in basis:
+                left_u = AlgebraElem(
+                    n, mode, {diagram_from_links(x, y): mode.one()}) * u
+                for xp, uxp in uxps:
+                    phi = mode.zero()
+                    for z, cz in uxp.terms.items():
+                        phi = phi + gram_product(y, z, mode) * cz
                     for yp in basis[:2]:
-                        left = AlgebraElem(
-                            n, mode, {diagram_from_links(x, y): mode.one()})
                         right = AlgebraElem(
                             n, mode, {diagram_from_links(xp, yp): mode.one()})
-                        prod = reduce_mod_ideal(left * u * right, k)
-                        uxp = act(u, xp, quotient_k=k)
-                        phi = mode.zero()
-                        for z, cz in uxp.terms.items():
-                            phi = phi + gram_product(y, z, mode) * cz
+                        prod = reduce_mod_ideal(left_u * right, k)
                         expected = AlgebraElem(n, mode, {
                             diagram_from_links(x, yp): phi}) if phi else \
                             AlgebraElem(n, mode)

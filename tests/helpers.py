@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from dilutetl.diagram_core import AlgebraElem, DiluteDiagram
+from dilutetl.ring import GENERIC, beta_power
+from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, glue
+from dilutetl.central import (ROW_OPTIONS, _LEFT_WEIGHT, _RIGHT_WEIGHT,
+                              _TILE_INNER)
 
 
 @lru_cache(maxsize=None)
@@ -66,3 +70,46 @@ def embed_bottom(elem):
                 n + 1, elem.mode,
                 {DiluteDiagram.from_pairs(n + 1, pairs): c})
     return out
+
+
+def build_F_enumerated(n, mode=GENERIC):
+    """
+    The tile-built central element by walking all 5^n row assignments, each
+    as one glued network: edge e (N, E, S, W) of the tile in row j and
+    column c is node 8*j + 4*c + e.  The oracle for the row transfer.
+    """
+    seam = [-1] * (8 * n)
+    # east to west in a row, south to north between rows, top cap, bottom cup
+    links = [(0, 4), (8 * n - 6, 8 * n - 2)]
+    for j in range(n):
+        links.append((8 * j + 1, 8 * j + 7))
+        if j < n - 1:
+            links += [(8 * j + 2, 8 * j + 8), (8 * j + 6, 8 * j + 12)]
+    for u, v in links:
+        seam[u], seam[v] = v, u
+
+    def slot(node):
+        # west edges run down the left side, east edges up the right side
+        j = node // 8
+        return j if node % 8 == 3 else 2 * n - 1 - j
+
+    terms = {}
+    for assignment in product(ROW_OPTIONS, repeat=n):
+        inner = []
+        sexp, sign = 0, 1
+        for j, (lt, rt) in enumerate(assignment):
+            for c, tile in enumerate((lt, rt)):
+                inner += [8 * j + 4 * c + e if e >= 0 else -1
+                          for e in _TILE_INNER[tile]]
+            for e, s in (_LEFT_WEIGHT[lt], _RIGHT_WEIGHT[rt]):
+                sexp += e
+                sign *= s
+        assert sexp % 2 == 0, "half powers of q must cancel"
+        coeff = mode.q_power(sexp // 2) * mode.const(sign)
+        ends, loops = glue(inner, seam)
+        pairing = [None] * (2 * n)
+        for e, o in ends.items():
+            pairing[slot(e)] = slot(o)
+        d = DiluteDiagram(n, pairing)
+        terms[d] = terms.get(d, mode.zero()) + coeff * beta_power(mode, loops)
+    return AlgebraElem(n, mode, terms)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from helpers import embed_bottom
+from helpers import build_F_enumerated, embed_bottom
 
 from dilutetl.ring import GENERIC, LaurentPoly, root_of_unity
 from dilutetl.diagram_core import DiluteDiagram, transpose
@@ -25,6 +25,22 @@ def test_small_expansions_match_golden(key, n):
     want = {DiluteDiagram.from_json_dict(t["diagram"]):
             LaurentPoly.parse(t["coeff"]) for t in golden["terms"]}
     assert build_F(n).terms == want
+
+
+@pytest.mark.parametrize("n,mode", [(n, mode) for n in (1, 2, 3, 4)
+                                    for mode in [GENERIC] + [root_of_unity(m)
+                                                             for m in (4, 6, 8)]]
+                         + [(5, GENERIC), (5, root_of_unity(6))], ids=repr)
+def test_row_transfer_matches_enumeration(n, mode):
+    assert build_F(n, mode).terms == build_F_enumerated(n, mode).terms
+
+
+@pytest.mark.parametrize("n,mode", [(5, GENERIC), (6, GENERIC),
+                                    (5, root_of_unity(6))], ids=repr)
+def test_central_and_eigenvalues_beyond_criterion_5(n, mode):
+    assert check_central(n, mode)
+    for k in range(n + 1):
+        assert check_eigenvalue(n, k, mode), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -53,23 +53,43 @@ def test_crossing_pairs_rejected():
 
 def test_malformed_input_raises_under_optimize():
     # the checks must not be asserts, which python -O strips
+    # the last three cross-checks are made to disagree by breaking one of
+    # their two sides
     code = "\n".join([
+        "from dilutetl import central, link_modules, structure",
         "from dilutetl.diagram_core import DiluteDiagram",
         "from dilutetl.link_modules import LinkState",
-        "for make in (lambda: DiluteDiagram(2, (2, 3, 0, 1)),",
-        "             lambda: DiluteDiagram(2, (1, 2, 0, None)),",
-        "             lambda: LinkState.from_text('(D)')):",
+        "from dilutetl.ring import CycloElem, LaurentPoly, root_of_unity",
+        "def odd_half_power():",
+        "    central._LEFT_WEIGHT['a'] = (2, 1)",
+        "    central.build_F(2)",
+        "def unbalanced():",
+        "    structure.algebra_dim = lambda n: 0",
+        "    structure.regular_decomposition(3, root_of_unity(6))",
+        "def formulas_disagree():",
+        "    link_modules._trinomial = lambda n, k: 0",
+        "    link_modules.dim_standard(3, 1)",
+        "cases = [(ValueError, lambda: DiluteDiagram(2, (2, 3, 0, 1))),",
+        "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, None))),",
+        "         (ValueError, lambda: LinkState.from_text('(D)')),",
+        "         (ValueError, lambda: LaurentPoly.q() ** -1),",
+        "         (ZeroDivisionError, lambda: CycloElem.zero(6).inv()),",
+        "         (ArithmeticError, odd_half_power),",
+        "         (ArithmeticError, unbalanced),",
+        "         (ArithmeticError, formulas_disagree)]",
+        "for i, (error, make) in enumerate(cases):",
         "    try:",
         "        make()",
-        "    except ValueError:",
+        "    except error:",
         "        continue",
-        "    raise SystemExit('accepted')",
+        "    raise SystemExit('case %d accepted' % i)",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    # a stripped guard can leave a loop that never ends: fail, do not stall
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
 
 

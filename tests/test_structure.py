@@ -108,7 +108,7 @@ def test_regular_decomposition_generic():
 def test_regular_decomposition_root(m):
     mode = root_of_unity(m)
     for n in range(1, 9):
-        out = regular_decomposition(n, mode)  # asserts the total internally
+        out = regular_decomposition(n, mode)  # raises if the total is off
         pd = principal_dims(n, mode.ell)
         total = sum(mult * (pd[k] if kind == "P" else dim_standard(n, k))
                     for (kind, k), mult in out)
