@@ -94,8 +94,8 @@ def _emit(fmt, rows, title, extra):
 
 def _render(mat):
     """
-    str() of every cell, rendered once per distinct object: the cells are
-    one shared zero and the memoised loop-weight powers.
+    str() of every cell, rendered once per distinct object: most cells are
+    one shared zero or a memoised loop-weight power.
     """
     cells = {id(v): v for row in mat for v in row}
     text = {key: str(v) for key, v in cells.items()}
@@ -200,7 +200,7 @@ def gram(n, k, generic, m, fmt, cap_override):
     if mode.kind == "root":
         rad = radical_basis(n, k, mode)
         out["radical_dim"] = len(rad)
-        out["radical_basis"] = [[str(v) for v in vec] for vec in rad]
+        out["radical_basis"] = _render(rad)
     if fmt == "json":
         click.echo(json.dumps(out, indent=2, sort_keys=True))
     elif fmt == "csv":

@@ -10,12 +10,26 @@ algebra on the occupied sites (removing the shared vacancies keeps the
 order of the states inside a block), so the matrix, determinants,
 nullities and radicals assemble from one memoised dense block per
 occupied-site count, with binomial multiplicities.
+
+The loop count of each pairing does not depend on the ring, so each dense
+block is first built once as a loop matrix (`_dense_loops`: the number of
+closed loops, or None where the pairing vanishes) and then specialised
+to a mode by beta^loops.  At a primitive m-th root of unity every cell is
+a power of beta = q + q^-1, so the whole block lies in the real subfield
+Q(beta) of degree phi(m)/2, and its rank there equals its rank over
+Q(zeta_m).  The nullities are therefore ranks over Z[beta] = Z[x]/(psi_m)
+(`ring.real_cyclotomic_poly`), by fraction-free elimination on integer
+coordinate lists, with no field inverse.  The radical basis keeps the
+field elimination over Q(zeta_m), whose reduced row echelon form is the
+printed basis.
 """
 
 from functools import lru_cache
-from math import comb
+from itertools import chain
+from math import comb, gcd
 
-from .ring import GENERIC, beta_power
+from .ring import (GENERIC, beta_power, real_beta_power, real_cyclotomic_poly,
+                   times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_links, site_nodes
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
@@ -23,19 +37,28 @@ from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
 
 def gram_product(x, y, mode=GENERIC):
     """Pairing of two same-size link states with the same defect count."""
+    loops = _pair_loops(x, y)
+    return mode.zero() if loops is None else beta_power(mode, loops)
+
+
+def _pair_loops(x, y):
+    """
+    The number of closed loops of the pairing of x and y, or None where
+    the pairing vanishes; the same in every mode.
+    """
     n = x.n
     if y.n != n or x.defect_count() != y.defect_count():
         raise ValueError("states %s and %s differ in size or defect count"
                          % (x.text(), y.text()))
     for a, b in zip(x.sites, y.sites):  # the cheap early reject
         if (a == "V") != (b == "V"):
-            return mode.zero()
+            return None
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y
     ends, loops = glue(site_nodes(x) + site_nodes(y, n), _mirror_seam(n))
     for e, o in ends.items():
         if (e < n) == (o < n):
-            return mode.zero()  # two defects of the same state joined
-    return beta_power(mode, loops)
+            return None  # two defects of the same state joined
+    return loops
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +130,20 @@ def _bareiss_det(mat, mode=GENERIC):
 
 def tl_gram_matrix(m, k, mode=GENERIC):
     """Gram matrix of the dense algebra: states without vacancies."""
+    zero = mode.zero()
+    return [[zero if loops is None else beta_power(mode, loops) for loops in row]
+            for row in _dense_loops(m, k)]
+
+
+@lru_cache(maxsize=None)
+def _dense_loops(m, k):
+    """
+    The dense (m, k) loop matrix, built once for every mode: the loop
+    count of each pairing of two states without vacancies, None where it
+    vanishes.
+    """
     basis = [v for v in enumerate_links(m, k) if "V" not in v.sites]
-    return [[gram_product(u, v, mode) for v in basis] for u in basis]
+    return tuple(tuple(_pair_loops(u, v) for v in basis) for u in basis)
 
 
 @lru_cache(maxsize=None)
@@ -156,36 +191,12 @@ def gram_det_closed(n, k, mode=GENERIC):
     return mode.convert(det)
 
 
-def _nullity_field(mat):
-    """Nullity of a square matrix over a field (Gaussian elimination)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inv() if hasattr(m[r][c], "inv") else 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return cols - rank
-
-
-def _nullspace_field(mat, mode):
-    """Basis of the (right) nullspace of a square matrix over a field."""
-    m = [row[:] for row in mat]
+def _rref(mat):
+    """
+    Reduced row echelon form of a matrix over a field (cells with inv()):
+    the reduced rows and the pivot columns.
+    """
+    m = [list(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -205,9 +216,24 @@ def _nullspace_field(mat, mode):
         r += 1
         if r == rows:
             break
+    return m, pivots
+
+
+def _nullity_field(mat):
+    """
+    Nullity of a square matrix over a field (Gaussian elimination), the
+    field-side oracle of the rank over Z[beta].
+    """
+    return len(mat) - len(_rref(mat)[1])
+
+
+def _nullspace_field(mat, mode):
+    """Basis of the (right) nullspace of a square matrix over a field."""
+    m, pivots = _rref(mat)
+    size = len(m)
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [mode.zero()] * cols
+    for fc in (c for c in range(size) if c not in pivots):
+        vec = [mode.zero()] * size
         vec[fc] = mode.one()
         for ri, pc in enumerate(pivots):
             vec[pc] = -m[ri][fc]
@@ -215,9 +241,81 @@ def _nullspace_field(mat, mode):
     return basis
 
 
+def _rank_over_z_beta(loops, m):
+    """
+    Rank over Q(beta) of the matrix with cells beta^loops (zero where
+    loops is None) at a primitive m-th root of unity, in integer
+    arithmetic on Z[beta] = Z[x]/(psi_m): each cell is its d = phi(m)/2
+    coordinates, and a row is kept as d coordinate lists.  Sparse
+    fraction-free elimination: a pivot p updates only the rows with a
+    nonzero entry f in its column, as row <- p*row - f*pivot_row, and each
+    updated row is divided by the gcd of its integer coordinates.  Both
+    steps are invertible over Q(beta), and psi_m is irreducible, so a cell
+    is zero exactly when its coordinates are; no field inverse and no
+    Fraction is used.  Eliminated columns are dropped from the rows.
+    """
+    psi = real_cyclotomic_poly(m)
+    zero = (0,) * (len(psi) - 1)
+    rows = []
+    for row in loops:
+        planes = [list(c) for c in zip(*(zero if e is None else real_beta_power(m, e)
+                                         for e in row))]
+        if any(map(any, planes)):
+            rows.append(planes)
+    rank = 0
+    while rows and rows[0][0]:  # a nonzero row and a column are left
+        piv = next((i for i, row in enumerate(rows) if any(c[0] for c in row)), None)
+        if piv is None:
+            rows = [[c[1:] for c in row] for row in rows]
+            continue
+        prow = rows.pop(piv)
+        p = _times_table(tuple(c[0] for c in prow), psi)
+        ptail = [c[1:] for c in prow]
+        rank += 1
+        kept = []
+        for row in rows:
+            tail = [c[1:] for c in row]
+            f = tuple(c[0] for c in row)
+            if any(f):
+                tail = _combine(p, tail, _times_table(f, psi), ptail)
+                g = gcd(*chain.from_iterable(tail))
+                if not g:
+                    continue  # the row is now zero
+                if g > 1:
+                    tail = [[v // g for v in c] for c in tail]
+            kept.append(tail)
+        rows = kept
+    return rank
+
+
+def _times_table(a, psi):
+    """Multiplication by a in Z[x]/(psi) as rows of a d x d integer matrix."""
+    cols = [a]
+    for _ in range(len(a) - 1):
+        cols.append(times_beta(cols[-1], psi))
+    return tuple(zip(*cols))
+
+
+def _combine(p, u, f, v):
+    """p*u - f*v on coordinate lists, p and f given by their tables."""
+    out = []
+    for p_i, f_i in zip(p, f):
+        acc = [0] * len(u[0])
+        for c, plane in zip(p_i, u):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, plane)]
+        for c, plane in zip(f_i, v):
+            if c:
+                acc = [a - c * x for a, x in zip(acc, plane)]
+        out.append(acc)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _tl_nullity(m, k, mode):
-    """Nullity of the dense (m, k) Gram block in the given mode."""
-    return len(_dense_nullspace(m, k, mode))
+    """Nullity of the dense (m, k) Gram block at a root of unity."""
+    loops = _dense_loops(m, k)
+    return len(loops) - _rank_over_z_beta(loops, mode.m)
 
 
 def gram_nullity(n, k, mode):
@@ -226,7 +324,8 @@ def gram_nullity(n, k, mode):
     block: each occupied-site count contributes its dense nullity times a
     binomial multiplicity.
     """
-    assert mode.kind == "root", "the form is nondegenerate generically"
+    if mode.kind != "root":
+        raise ValueError("the form is nondegenerate generically: no nullity")
     return sum(comb(n, k + 2 * p) * _tl_nullity(k + 2 * p, k, mode)
                for p in range((n - k) // 2 + 1))
 
@@ -237,10 +336,11 @@ def radical_basis(n, k, mode):
     ordered link basis (lists of ring elements).
     """
     dim = len(enumerate_links(n, k))
+    zero = mode.zero()
     vecs = []
     for s, e, occ in gram_blocks(n, k):
         for v in _dense_nullspace(occ, k, mode):
-            full = [mode.zero()] * dim
+            full = [zero] * dim
             full[s:e] = v
             vecs.append(full)
     return vecs

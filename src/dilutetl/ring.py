@@ -223,7 +223,8 @@ def _poly_divmod(a, b):
     b = list(b)
     while b and b[-1] == 0:
         b.pop()
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
     q = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         f = _norm(Fraction(a[-1], b[-1]))
@@ -242,7 +243,8 @@ def cyclotomic_poly(m):
     (constant term first), built by dividing x^m - 1 by the cyclotomic
     polynomials of all proper divisors of m.
     """
-    assert m >= 1
+    if m < 1:
+        raise ValueError("cyclotomic polynomial of order %r" % (m,))
     num = [0] * (m + 1)
     num[0], num[m] = -1, 1
     for d in range(1, m):
@@ -251,6 +253,47 @@ def cyclotomic_poly(m):
             assert not any(r)
             num = q
     return num
+
+
+@lru_cache(maxsize=None)
+def real_cyclotomic_poly(m):
+    """
+    psi_m, the minimal polynomial of beta = q + q^-1 for q a primitive m-th
+    root of unity (m >= 3), as a tuple of integer coefficients, constant
+    term first.  Phi_m is palindromic of degree 2d, so
+    q^-d Phi_m(q) = a_d + sum_j a_(d+j) (q^j + q^-j); each q^j + q^-j is
+    V_j(beta), with V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1).  psi_m is
+    monic of degree d = phi(m)/2 and irreducible because Phi_m is.
+    """
+    if m < 3:
+        raise ValueError("root-of-unity mode requires m >= 3")
+    phi = cyclotomic_poly(m)
+    d = (len(phi) - 1) // 2
+    psi = [phi[d]] + [0] * d
+    prev, cur = [2], [0, 1]
+    for j in range(1, d + 1):
+        for i, c in enumerate(cur):
+            psi[i] += phi[d + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(psi)
+
+
+def times_beta(a, psi):
+    """x * a modulo the monic psi, on coefficient tuples of length deg(psi)."""
+    top = a[-1]
+    return tuple(s - top * c for s, c in zip((0,) + a[:-1], psi))
+
+
+@lru_cache(maxsize=None)
+def real_beta_power(m, j):
+    """beta^j in Z[beta] = Z[x]/(psi_m), as d integer coordinates."""
+    psi = real_cyclotomic_poly(m)
+    if j == 0:
+        return (1,) + (0,) * (len(psi) - 2)
+    return times_beta(real_beta_power(m, j - 1), psi)
 
 
 def _poly_mod(a, phi):
@@ -308,7 +351,8 @@ class CycloElem:
     _phi_cache = {}
 
     def __init__(self, m, rep):
-        assert m >= 3, "m in {1,2} is rejected; q = +-1 is not a supported root mode"
+        if m < 3:
+            raise ValueError("m in {1,2} is rejected; q = +-1 is not a supported root mode")
         self.m = m
         phi = CycloElem.phi(m)
         dense = _poly_mod(list(rep), phi)
@@ -354,7 +398,9 @@ class CycloElem:
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloElem.const(self.m, other)
-        assert isinstance(other, CycloElem) and other.m == self.m
+        if not isinstance(other, CycloElem) or other.m != self.m:
+            raise TypeError("cannot combine an element of Q(zeta_%d) with %r"
+                            % (self.m, other))
         return other
 
     def __add__(self, other):
@@ -459,7 +505,8 @@ class QMode:
     __slots__ = ("kind", "m", "ell")
 
     def __init__(self, kind, m=None):
-        assert kind in ("generic", "root")
+        if kind not in ("generic", "root"):
+            raise ValueError("unknown coefficient mode %r" % (kind,))
         self.kind = kind
         if kind == "root":
             self.m = m

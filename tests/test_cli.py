@@ -71,6 +71,15 @@ def test_irr_three_way_agreement_m4():
     assert json.loads(res.output)["mismatches"] == []
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_irr_nullity_up_to_n_max(m):
+    """The Gram nullity cross-check reaches the whole n <= 10 table."""
+    res = _run(["irr", "--n-max", "10", "--root-of-unity", str(m),
+                "--nullity-n-max", "10", "--format", "json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["mismatches"] == []
+
+
 def test_irr_invalid_m():
     res = _run(["irr", "--n-max", "4", "--root-of-unity", "2"])
     assert res.exit_code != 0

@@ -59,7 +59,9 @@ def test_malformed_input_raises_under_optimize():
         "from dilutetl import central, link_modules, structure",
         "from dilutetl.diagram_core import DiluteDiagram",
         "from dilutetl.link_modules import LinkState",
-        "from dilutetl.ring import CycloElem, LaurentPoly, root_of_unity",
+        "from dilutetl.gram import gram_nullity",
+        "from dilutetl.ring import (GENERIC, CycloElem, LaurentPoly, QMode, _poly_divmod,",
+        "                           cyclotomic_poly, root_of_unity)",
         "def odd_half_power():",
         "    central._LEFT_WEIGHT['a'] = (2, 1)",
         "    central.build_F(2)",
@@ -76,7 +78,13 @@ def test_malformed_input_raises_under_optimize():
         "         (ZeroDivisionError, lambda: CycloElem.zero(6).inv()),",
         "         (ArithmeticError, odd_half_power),",
         "         (ArithmeticError, unbalanced),",
-        "         (ArithmeticError, formulas_disagree)]",
+        "         (ArithmeticError, formulas_disagree),",
+        "         (TypeError, lambda: CycloElem.q(6) + CycloElem.q(8)),",
+        "         (ValueError, lambda: CycloElem(2, [1])),",
+        "         (ValueError, lambda: cyclotomic_poly(0)),",
+        "         (ZeroDivisionError, lambda: _poly_divmod([1, 1], [0])),",
+        "         (ValueError, lambda: QMode('bogus')),",
+        "         (ValueError, lambda: gram_nullity(3, 1, GENERIC))]",
         "for i, (error, make) in enumerate(cases):",
         "    try:",
         "        make()",

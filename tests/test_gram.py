@@ -9,7 +9,8 @@ from dilutetl.link_modules import (LinComb, LinkState, act, dim_standard,
 from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
                            gram_blocks, gram_det_closed, gram_det_direct,
                            gram_matrix, gram_nullity, gram_product,
-                           radical_basis, _nullity_field)
+                           radical_basis, tl_gram_matrix, _nullity_field,
+                           _tl_nullity)
 from dilutetl.structure import dim_irr
 
 
@@ -99,6 +100,16 @@ def test_nullity_block_assembly(m):
             assert gram_nullity(n, k, mode) == whole, (n, k, m)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_integer_rank_matches_field_nullity(m):
+    """The rank over Z[beta] gives the nullity of the field elimination."""
+    mode = root_of_unity(m)
+    for n in range(1, 9 if m in (6, 8) else 8):
+        for k in range(n % 2, n + 1, 2):
+            want = _nullity_field(tl_gram_matrix(n, k, mode))
+            assert _tl_nullity(n, k, mode) == want, (n, k, m)
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_irreducible_dimension_routes_agree(m):
     mode = root_of_unity(m)
@@ -141,6 +152,6 @@ def test_radical_is_orthogonal_and_invariant():
 
 def test_generic_radical_empty():
     # generic nullity guard: the assembled nullity requires a root mode
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         gram_nullity(3, 1, GENERIC)
     assert dim_irreducible(4, 2) == dim_standard(4, 2)

@@ -2,13 +2,15 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, beta,
-                           cyclotomic_poly, ell_of, qnum, root_of_unity)
+                           cyclotomic_poly, ell_of, qnum, real_beta_power,
+                           real_cyclotomic_poly, root_of_unity)
 
 settings.register_profile("fixed", derandomize=True, max_examples=60)
 settings.load_profile("fixed")
@@ -94,6 +96,25 @@ def test_cyclotomic_poly_vs_sympy(m):
     assert cyclotomic_poly(m) == [Fraction(v) for v in want]
 
 
+@pytest.mark.parametrize("m", list(range(3, 31)))
+def test_real_cyclotomic_poly(m):
+    """psi_m is monic over Z of degree phi(m)/2 and vanishes at beta."""
+    psi = real_cyclotomic_poly(m)
+    units = sum(1 for a in range(1, m) if gcd(a, m) == 1)
+    assert all(type(c) is int for c in psi)
+    assert len(psi) - 1 == units // 2 and psi[-1] == 1
+    b = beta(root_of_unity(m))
+    powers = [CycloElem.one(m)]
+    for _ in range(len(psi) + 4):
+        powers.append(powers[-1] * b)
+    assert sum((c * bj for c, bj in zip(psi, powers)), CycloElem.zero(m)).is_zero()
+    # beta^j reduced mod psi_m, read back in the cyclotomic field
+    for j, bj in enumerate(powers):
+        coords = real_beta_power(m, j)
+        assert sum((c * powers[i] for i, c in enumerate(coords)),
+                   CycloElem.zero(m)) == bj, j
+
+
 def _complex_eval(elem):
     """Numerical value of a cyclotomic element at exp(2*pi*i/m)."""
     w = cmath.exp(2j * cmath.pi / elem.m)
@@ -139,5 +160,5 @@ def test_beta_generic():
 def test_small_m_rejected():
     with pytest.raises(ValueError):
         ell_of(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CycloElem.one(2)
