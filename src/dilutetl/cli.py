@@ -24,9 +24,9 @@ from .diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
 from .link_modules import (LinkState, act, act_diagram, dim_standard,
                            enumerate_links, induced_basis, phi_iso,
                            restriction_phi, restriction_psi)
-from .gram import (dim_irreducible, dim_irreducible_formula, gram_blocks,
-                   gram_det_closed, gram_det_direct, gram_matrix, gram_nullity,
-                   gram_product, radical_basis)
+from .gram import (block_rows, dim_irreducible, dim_irreducible_formula,
+                   gram_blocks, gram_det_closed, gram_det_direct, gram_nullity,
+                   gram_product)
 from .central import build_F, check_central, check_eigenvalue
 from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
                         restriction_induction_report, structure_report,
@@ -35,6 +35,7 @@ from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 DEFAULT_DET_CAP = 5
 DEFAULT_TABLE_CAP = 12
+MAX_ROOT_ORDER = 1000  # Phi_m is built by recursive division, slow past this
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +58,9 @@ def _mode_from_flags(generic, m):
     if m is not None:
         if m < 3:
             raise click.UsageError("--root-of-unity requires m >= 3")
+        if m > MAX_ROOT_ORDER:
+            raise click.UsageError("--root-of-unity is capped at m = %d"
+                                   % MAX_ROOT_ORDER)
         return root_of_unity(m)
     return GENERIC
 
@@ -92,14 +96,20 @@ def _emit(fmt, rows, title, extra):
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _render(mat):
+def _json_cell(v):
+    return json.dumps(str(v))
+
+
+def _json_rows(rows):
     """
-    str() of every cell, rendered once per distinct object: most cells are
-    one shared zero or a memoised loop-weight power.
+    A list of rows of JSON cell texts as json.dumps(indent=2) writes it
+    under a top-level key.
     """
-    cells = {id(v): v for row in mat for v in row}
-    text = {key: str(v) for key, v in cells.items()}
-    return [[text[id(v)] for v in row] for row in mat]
+    if not rows:
+        return "[]"
+    return ("[\n    [\n      "
+            + "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in rows)
+            + "\n    ]\n  ]")
 
 
 @click.group()
@@ -186,37 +196,38 @@ def gram(n, k, generic, m, fmt, cap_override):
     if n > 8:
         raise click.UsageError("matrix output capped at n = 8")
     det_cap = cap_override if cap_override is not None else DEFAULT_DET_CAP
-    mat = gram_matrix(n, k, mode)
-    blocks = gram_blocks(n, k)
+    cell = _json_cell if fmt == "json" else str
+    matrix = list(block_rows(n, k, mode, cell=cell))
+    if fmt == "csv":
+        click.echo("".join(",".join(row) + "\n" for row in matrix), nl=False)
+        return
+    # the two arrays are spliced into the JSON text in place of markers
     out = {"n": n, "k": k,
            "mode": {"kind": mode.kind, "m": mode.m, "ell": mode.ell},
            "dim": dim_standard(n, k),
            "blocks": [{"start": s, "end": e, "occupied": occ}
-                      for s, e, occ in blocks],
-           "matrix": _render(mat)}
+                      for s, e, occ in gram_blocks(n, k)],
+           "matrix": "@matrix"}
     if n <= det_cap:
         out["det_direct"] = str(gram_det_direct(n, k, mode))
         out["det_closed"] = str(gram_det_closed(n, k, mode))
+    rad = []
     if mode.kind == "root":
-        rad = radical_basis(n, k, mode)
+        rad = list(block_rows(n, k, mode, radical=True, cell=cell))
         out["radical_dim"] = len(rad)
-        out["radical_basis"] = _render(rad)
+        out["radical_basis"] = "@radical_basis"
     if fmt == "json":
-        click.echo(json.dumps(out, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        click.echo("".join(",".join(row) + "\n" for row in out["matrix"]),
-                   nl=False)
-    else:
-        click.echo("module (n=%d, k=%d), dim %d, mode %s" %
-                   (n, k, out["dim"], mode))
-        for b in out["blocks"]:
-            click.echo("block [%d:%d) occupied=%d" %
-                       (b["start"], b["end"], b["occupied"]))
-        for row in out["matrix"]:
-            click.echo("  ".join(row))
-        for key in ("det_direct", "det_closed", "radical_dim"):
-            if key in out:
-                click.echo("%s: %s" % (key, out[key]))
+        doc = json.dumps(out, indent=2, sort_keys=True)
+        doc = doc.replace('"@radical_basis"', _json_rows(rad), 1)
+        click.echo(doc.replace('"@matrix"', _json_rows(matrix), 1))
+        return
+    lines = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
+    lines += ["block [%d:%d) occupied=%d" % (b["start"], b["end"], b["occupied"])
+              for b in out["blocks"]]
+    lines += ["  ".join(row) for row in matrix]
+    lines += ["%s: %s" % (key, out[key])
+              for key in ("det_direct", "det_closed", "radical_dim") if key in out]
+    click.echo("\n".join(lines))
 
 
 def _suite_algebra(rng):

@@ -22,14 +22,29 @@ Q(zeta_m).  The nullities are therefore ranks over Z[beta] = Z[x]/(psi_m)
 coordinate lists, with no field inverse.  The radical basis keeps the
 field elimination over Q(zeta_m), whose reduced row echelon form is the
 printed basis.
+
+The determinant of a dense block is likewise computed once, as a
+polynomial in beta with int coefficients, for every mode
+(`_dense_det_beta`): the loop matrix is evaluated at the integer beta =
+2^B and eliminated by integer Bareiss.  Every entry of the elimination is
+a minor, whose beta-coefficients are at most size! in size, so with
+2^(B-2) > size! its zero tests are exact and the determinant is read back
+in balanced base 2^B.  The determinant of U(n, k) is the product of the
+dense determinants, each raised to the number of blocks it fills.
+
+`block_rows` assembles full rows from the dense blocks, a block row
+between runs of one shared zero; the matrix, the radical basis and the
+command line's text output (each distinct block's cells rendered once,
+the rows joined into the document) are all built from it.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb, factorial, gcd
 
-from .ring import (GENERIC, beta_power, real_beta_power, real_cyclotomic_poly,
-                   times_beta)
+from .ring import (GENERIC, beta, beta_power, real_beta_power,
+                   real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_links, site_nodes
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
@@ -73,15 +88,10 @@ def gram_matrix(n, k, mode=GENERIC):
     dense block of each vacancy configuration on the diagonal, one shared
     zero everywhere else.
     """
-    dim = len(enumerate_links(n, k))
-    zero = mode.zero()
-    mat = [[zero] * dim for _ in range(dim)]
-    for s, e, occ in gram_blocks(n, k):
-        for r, row in enumerate(_dense_block(occ, k, mode), s):
-            mat[r][s:e] = row
-    return mat
+    return list(block_rows(n, k, mode))
 
 
+@lru_cache(maxsize=None)
 def gram_blocks(n, k):
     """
     Index ranges of the diagonal blocks, one per vacancy configuration,
@@ -96,11 +106,40 @@ def gram_blocks(n, k):
             start = i
     if basis:
         out.append((start, len(basis), n - len(basis[start].vacancy_positions())))
-    return out
+    return tuple(out)
+
+
+def block_rows(n, k, mode, radical=False, cell=None):
+    """
+    Rows over the ordered basis assembled from the memoised dense blocks:
+    the rows of the Gram matrix, or with radical=True the radical basis
+    vectors.  Each row is a dense block's row between runs of one shared
+    zero.  With `cell`, every entry is mapped by it, once per cell of each
+    distinct dense block and once for the zero (the command line renders
+    its output this way).
+    """
+    dense = _dense_nullspace if radical else _dense_block
+    zero = mode.zero()
+    if cell is not None:
+        zero = cell(zero)
+    blocks = gram_blocks(n, k)
+    dim = blocks[-1][1] if blocks else 0
+    made = {}
+    for s, e, occ in blocks:
+        if occ not in made:
+            rows = dense(occ, k, mode)
+            made[occ] = rows if cell is None else [[cell(c) for c in row]
+                                                   for row in rows]
+        pre, post = [zero] * s, [zero] * (dim - e)
+        for row in made[occ]:
+            yield [*pre, *row, *post]
 
 
 def _bareiss_det(mat, mode=GENERIC):
-    """Fraction-free determinant for a matrix over a ring with exact_div."""
+    """
+    Fraction-free determinant for a matrix over a ring with exact_div, on
+    ring cells: the oracle of the integer determinant `_dense_det`.
+    """
     m = [list(row) for row in mat]
     size = len(m)
     if size == 0:
@@ -143,7 +182,11 @@ def _dense_loops(m, k):
     vanishes.
     """
     basis = [v for v in enumerate_links(m, k) if "V" not in v.sites]
-    return tuple(tuple(_pair_loops(u, v) for v in basis) for u in basis)
+    rows = [[None] * len(basis) for _ in basis]
+    for i, u in enumerate(basis):  # the pairing is symmetric: glue i <= j
+        for j in range(i, len(basis)):
+            rows[i][j] = rows[j][i] = _pair_loops(u, basis[j])
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
@@ -158,17 +201,68 @@ def _dense_nullspace(m, k, mode):
     return tuple(tuple(v) for v in _nullspace_field(_dense_block(m, k, mode), mode))
 
 
+@lru_cache(maxsize=None)
+def _dense_det_beta(m, k):
+    """
+    Determinant of the dense (m, k) Gram block as a polynomial in beta: its
+    int coefficients, constant term first, the same in every mode.  The
+    loop matrix is evaluated at beta = X = 2^B (a cell beta^loops becomes
+    X^loops, a vanishing one 0) and eliminated by integer Bareiss; beta -> X
+    is a ring map Z[beta] -> Z, so each exact division stays exact.  Every
+    Bareiss entry is a minor, a sum of at most size! terms +-beta^j, so its
+    coefficients are below 2^(B-2) in size: it vanishes exactly when its
+    value at X does, and the determinant is read back digit by digit in
+    balanced base X.
+    """
+    loops = _dense_loops(m, k)
+    bits = factorial(len(loops)).bit_length() + 2
+    det = _bareiss_int([[0 if e is None else 1 << (bits * e) for e in row]
+                        for row in loops])
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    while det:
+        c = det & mask
+        if c >= half:
+            c -= 1 << bits
+        coeffs.append(c)
+        det = (det - c) >> bits
+    return tuple(coeffs)
+
+
+def _bareiss_int(rows):
+    """Determinant of a square int matrix by fraction-free elimination."""
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            return 0  # a zero column
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
+            sign = -sign
+        p, *ptail = rows[0]
+        rows = [[(a * p - row[0] * b) // prev for a, b in zip(row[1:], ptail)]
+                for row in rows[1:]]
+        prev = p
+    return sign * rows[0][0] if rows else 1
+
+
+@lru_cache(maxsize=None)
+def _dense_det(m, k, mode):
+    """Determinant of the dense (m, k) Gram block in the ring of the mode."""
+    det, b = mode.zero(), beta(mode)
+    for c in reversed(_dense_det_beta(m, k)):
+        det = det * b + c  # Horner's rule in beta
+    return det
+
+
 def gram_det_direct(n, k, mode=GENERIC):
     """
-    Determinant by elimination: the fraction-free determinant of each
-    distinct dense block, multiplied out over the diagonal blocks.
+    Determinant by elimination: the determinant of each distinct dense
+    block (`_dense_det`) raised to the number of diagonal blocks it fills.
     """
     det = mode.one()
-    dets_by_size = {}
-    for _s, _e, occ in gram_blocks(n, k):
-        if occ not in dets_by_size:
-            dets_by_size[occ] = _bareiss_det(_dense_block(occ, k, mode), mode)
-        det = det * dets_by_size[occ]
+    for occ, count in Counter(occ for _s, _e, occ in gram_blocks(n, k)).items():
+        det = det * _dense_det(occ, k, mode) ** count
     return det
 
 
@@ -335,15 +429,7 @@ def radical_basis(n, k, mode):
     A basis of the radical as LinComb-style coefficient vectors over the
     ordered link basis (lists of ring elements).
     """
-    dim = len(enumerate_links(n, k))
-    zero = mode.zero()
-    vecs = []
-    for s, e, occ in gram_blocks(n, k):
-        for v in _dense_nullspace(occ, k, mode):
-            full = [zero] * dim
-            full[s:e] = v
-            vecs.append(full)
-    return vecs
+    return list(block_rows(n, k, mode, radical=True))
 
 
 def dim_irreducible(n, k, mode=GENERIC):

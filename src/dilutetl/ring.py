@@ -173,7 +173,8 @@ class LaurentPoly:
     def subs_fraction(self, value):
         """Evaluate at a nonzero rational q = value; returns a Fraction."""
         value = Fraction(value)
-        assert value != 0
+        if not value:
+            raise ZeroDivisionError("a Laurent polynomial evaluated at q = 0")
         total = Fraction(0)
         for e, v in self.coeffs.items():
             total += v * value ** e
@@ -250,7 +251,8 @@ def cyclotomic_poly(m):
     for d in range(1, m):
         if m % d == 0:
             q, r = _poly_divmod(num, cyclotomic_poly(d))
-            assert not any(r)
+            if any(r):
+                raise ArithmeticError("Phi_%d does not divide x^%d - 1" % (d, m))
             num = q
     return num
 
@@ -450,7 +452,8 @@ class CycloElem:
             raise ZeroDivisionError("zero is not invertible")
         phi = CycloElem.phi(self.m)
         g, s, _ = _poly_ext_gcd(list(self.rep), phi)
-        assert len(g) == 1 and g[0] != 0
+        if len(g) != 1 or not g[0]:
+            raise ArithmeticError("gcd %r with Phi_%d is not a unit" % (g, self.m))
         c = g[0]
         return CycloElem(self.m, [Fraction(v, c) for v in s])
 
@@ -559,7 +562,8 @@ def qnum(j, mode=GENERIC):
     The q-number [j]_q = q^(j-1) + q^(j-3) + ... + q^(1-j), computed by the
     summed form and specialized afterwards in root-of-unity mode.
     """
-    assert j >= 0
+    if j < 0:
+        raise ValueError("q-number of a negative index: %d" % j)
     p = LaurentPoly({e: 1 for e in range(j - 1, -j, -2)})
     return mode.convert(p)
 

@@ -1,11 +1,15 @@
 """Shared independent oracles and small utilities for the test suite."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from dilutetl.ring import GENERIC, beta_power
 from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, glue
+from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
+                           gram_matrix, radical_basis, tl_gram_matrix)
+from dilutetl.link_modules import dim_standard
 from dilutetl.central import (ROW_OPTIONS, _LEFT_WEIGHT, _RIGHT_WEIGHT,
                               _TILE_INNER)
 
@@ -113,3 +117,39 @@ def build_F_enumerated(n, mode=GENERIC):
         d = DiluteDiagram(n, pairing)
         terms[d] = terms.get(d, mode.zero()) + coeff * beta_power(mode, loops)
     return AlgebraElem(n, mode, terms)
+
+
+def gram_output(n, k, mode, fmt, det_cap=5):
+    """
+    The output of the `gram` command rendered cell by cell: str() of every
+    entry of the assembled matrix and radical basis, one json.dumps of the
+    whole document, and each diagonal block's determinant taken by ring
+    Bareiss.  The oracle for the command's block-spliced rendering.
+    """
+    out = {"n": n, "k": k,
+           "mode": {"kind": mode.kind, "m": mode.m, "ell": mode.ell},
+           "dim": dim_standard(n, k),
+           "blocks": [{"start": s, "end": e, "occupied": occ}
+                      for s, e, occ in gram_blocks(n, k)],
+           "matrix": [[str(c) for c in row] for row in gram_matrix(n, k, mode)]}
+    if n <= det_cap:
+        det = mode.one()
+        for _s, _e, occ in gram_blocks(n, k):
+            det = det * _bareiss_det(tl_gram_matrix(occ, k, mode), mode)
+        out["det_direct"] = str(det)
+        out["det_closed"] = str(gram_det_closed(n, k, mode))
+    if mode.kind == "root":
+        rad = radical_basis(n, k, mode)
+        out["radical_dim"] = len(rad)
+        out["radical_basis"] = [[str(c) for c in row] for row in rad]
+    if fmt == "json":
+        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in out["matrix"])
+    lines = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
+    lines += ["block [%d:%d) occupied=%d" % (b["start"], b["end"], b["occupied"])
+              for b in out["blocks"]]
+    lines += ["  ".join(row) for row in out["matrix"]]
+    lines += ["%s: %s" % (key, out[key])
+              for key in ("det_direct", "det_closed", "radical_dim") if key in out]
+    return "".join(line + "\n" for line in lines)

@@ -3,16 +3,19 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from helpers import motzkin
+from helpers import gram_output, motzkin
 
 from dilutetl.cli import main
+from dilutetl.ring import GENERIC, root_of_unity
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "dilutetl",
-                          "goldens")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+GOLDEN_DIR = os.path.join(SRC, "dilutetl", "goldens")
 
 
 def _run(args, env=None):
@@ -122,12 +125,40 @@ def test_gram_radical_at_root():
      "38c2b37c489765f013cf2ea0331b599544294fdb8a18a5a428fc4cfe34b2071c"),
     (["--n", "7", "--k", "1", "--generic", "--cap-override", "7"],
      "012790927d1fd74795ee7df7db1b93d3337a6d464d4743a0ce0a6cb65e4a6a96"),
+    (["--n", "8", "--k", "2", "--generic", "--cap-override", "8"],
+     "11c4eccb4d3ee4cead01681a84019eea3b44f2cf364ea4366697e11dbdd739e3"),
 ])
 def test_gram_json_bytes_pinned(args, digest):
     """Matrix, blocks, determinants and radical basis, byte for byte."""
     res = _run(["gram", "--format", "json"] + args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [None, 3, 4, 5, 6, 8])
+def test_gram_output_matches_cell_rendering(m):
+    """The block-spliced output equals rendering every cell on its own."""
+    mode = GENERIC if m is None else root_of_unity(m)
+    flag = ["--generic"] if m is None else ["--root-of-unity", str(m)]
+    for n in range(7):
+        for k in range(n + 1):
+            for fmt in ("json", "csv", "pretty"):
+                res = _run(["gram", "--n", str(n), "--k", str(k),
+                            "--format", fmt] + flag)
+                assert res.exit_code == 0
+                assert res.output == gram_output(n, k, mode, fmt), (n, k, fmt)
+
+
+@pytest.mark.parametrize("cmd", [["gram", "--n", "4", "--k", "0"],
+                                 ["irr", "--n-max", "4"]])
+def test_root_order_capped(cmd):
+    for m in ("1001", "1000000"):
+        for fmt in ("json", "csv", "pretty"):
+            res = _run(cmd + ["--root-of-unity", m, "--format", fmt])
+            assert res.exit_code == 2, (m, fmt)
+            assert "--root-of-unity is capped at m = 1000" in res.output
+    res = _run(cmd + ["--root-of-unity", "1000"])
+    assert res.exit_code == 0
 
 
 def test_gram_determinant_at_root():
@@ -165,6 +196,18 @@ def test_verify_all_exit_zero():
     data = json.loads(res.output)
     suites = {v["suite"] for v in data["verdicts"]}
     assert suites == {"algebra", "modules", "gram", "central", "structure"}
+
+
+def test_verify_all_under_optimize():
+    """No verdict leans on an assert, which python -O strips."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-O", "-m", "dilutetl.cli", "verify",
+                          "all", "--seed", "0"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stdout[-2000:] + res.stderr
+    assert json.loads(res.stdout)["all_pass"]
 
 
 def test_verify_unknown_suite():

@@ -53,15 +53,15 @@ def test_crossing_pairs_rejected():
 
 def test_malformed_input_raises_under_optimize():
     # the checks must not be asserts, which python -O strips
-    # the last three cross-checks are made to disagree by breaking one of
-    # their two sides
+    # the internal checks are made to fail by breaking one side of a
+    # cross-check or the helper a ring check guards
     code = "\n".join([
-        "from dilutetl import central, link_modules, structure",
+        "from dilutetl import central, link_modules, ring, structure",
         "from dilutetl.diagram_core import DiluteDiagram",
         "from dilutetl.link_modules import LinkState",
         "from dilutetl.gram import gram_nullity",
         "from dilutetl.ring import (GENERIC, CycloElem, LaurentPoly, QMode, _poly_divmod,",
-        "                           cyclotomic_poly, root_of_unity)",
+        "                           cyclotomic_poly, qnum, root_of_unity)",
         "def odd_half_power():",
         "    central._LEFT_WEIGHT['a'] = (2, 1)",
         "    central.build_F(2)",
@@ -71,6 +71,12 @@ def test_malformed_input_raises_under_optimize():
         "def formulas_disagree():",
         "    link_modules._trinomial = lambda n, k: 0",
         "    link_modules.dim_standard(3, 1)",
+        "def remainder_left():",
+        "    ring._poly_divmod = lambda a, b: ([0], [1])",
+        "    cyclotomic_poly(4)",
+        "def gcd_not_unit():",
+        "    ring._poly_ext_gcd = lambda a, b: ([0, 1], [1], [0])",
+        "    CycloElem.q(6).inv()",
         "cases = [(ValueError, lambda: DiluteDiagram(2, (2, 3, 0, 1))),",
         "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, None))),",
         "         (ValueError, lambda: LinkState.from_text('(D)')),",
@@ -84,7 +90,11 @@ def test_malformed_input_raises_under_optimize():
         "         (ValueError, lambda: cyclotomic_poly(0)),",
         "         (ZeroDivisionError, lambda: _poly_divmod([1, 1], [0])),",
         "         (ValueError, lambda: QMode('bogus')),",
-        "         (ValueError, lambda: gram_nullity(3, 1, GENERIC))]",
+        "         (ValueError, lambda: gram_nullity(3, 1, GENERIC)),",
+        "         (ValueError, lambda: qnum(-1)),",
+        "         (ZeroDivisionError, lambda: LaurentPoly.q().subs_fraction(0)),",
+        "         (ArithmeticError, remainder_left),",
+        "         (ArithmeticError, gcd_not_unit)]",
         "for i, (error, make) in enumerate(cases):",
         "    try:",
         "        make()",

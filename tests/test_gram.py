@@ -9,8 +9,9 @@ from dilutetl.link_modules import (LinComb, LinkState, act, dim_standard,
 from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
                            gram_blocks, gram_det_closed, gram_det_direct,
                            gram_matrix, gram_nullity, gram_product,
-                           radical_basis, tl_gram_matrix, _nullity_field,
-                           _tl_nullity)
+                           radical_basis, tl_gram_matrix, _bareiss_det,
+                           _dense_det, _dense_loops, _nullity_field,
+                           _pair_loops, _tl_nullity)
 from dilutetl.structure import dim_irr
 
 
@@ -82,6 +83,33 @@ def test_det_closed_vs_direct_at_roots(m):
         for k in range(n + 1):
             direct = gram_det_direct(n, k, mode)
             assert direct == gram_det_closed(n, k, mode), (n, k, m)
+
+
+def _dense_sizes(max_m):
+    """Every (m, k) with a nonempty dense module on at most max_m sites."""
+    return [(m, k) for m in range(max_m + 1) for k in range(m % 2, m + 1, 2)]
+
+
+def test_dense_loops_match_ordered_pairs():
+    """The mirrored upper triangle equals gluing every ordered pair."""
+    for m, k in _dense_sizes(8):
+        basis = [v for v in enumerate_links(m, k) if "V" not in v.sites]
+        want = tuple(tuple(_pair_loops(u, v) for v in basis) for u in basis)
+        assert _dense_loops(m, k) == want, (m, k)
+
+
+def test_integer_det_matches_ring_bareiss():
+    """The determinant through Z[beta] -> Z equals Bareiss on Laurent cells."""
+    for m, k in _dense_sizes(7):
+        assert _dense_det(m, k, GENERIC) == _bareiss_det(tl_gram_matrix(m, k)), (m, k)
+
+
+@pytest.mark.parametrize("r", [5, 6, 8])
+def test_integer_det_matches_ring_bareiss_at_roots(r):
+    mode = root_of_unity(r)
+    for m, k in _dense_sizes(6):
+        want = _bareiss_det(tl_gram_matrix(m, k, mode), mode)
+        assert _dense_det(m, k, mode) == want, (m, k, r)
 
 
 def test_det_nonzero_generically():
