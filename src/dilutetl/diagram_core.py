@@ -188,6 +188,16 @@ def multiply_diagrams_raw(a, b):
     return loops, DiluteDiagram(n, pairing)
 
 
+def check_compatible(a, b):
+    """
+    Raise ValueError unless two linear combinations (algebra elements or
+    link-state combinations) have one size and one coefficient ring.
+    """
+    if a.n != b.n or a.mode != b.mode:
+        raise ValueError("operands on %d and %d sites over %r and %r"
+                         % (a.n, b.n, a.mode, b.mode))
+
+
 class AlgebraElem:
     """A finite linear combination of same-size diagrams with ring coefficients."""
 
@@ -200,7 +210,9 @@ class AlgebraElem:
         if terms:
             for d, c in terms.items():
                 if c:
-                    assert d.n == n
+                    if d.n != n:
+                        raise ValueError("diagram on %d sites in an element on %d"
+                                         % (d.n, n))
                     self.terms[d] = c
 
     @staticmethod
@@ -213,7 +225,7 @@ class AlgebraElem:
         return not self.terms
 
     def __add__(self, other):
-        assert self.n == other.n and self.mode == other.mode
+        check_compatible(self, other)
         t = dict(self.terms)
         for d, c in other.terms.items():
             w = t.get(d, self.mode.zero()) + c
@@ -230,7 +242,7 @@ class AlgebraElem:
         return AlgebraElem(self.n, self.mode, {d: v * c for d, v in self.terms.items()})
 
     def __mul__(self, other):
-        assert self.n == other.n and self.mode == other.mode
+        check_compatible(self, other)
         acc = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():

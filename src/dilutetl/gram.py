@@ -30,7 +30,9 @@ polynomial in beta with int coefficients, for every mode
 a minor, whose beta-coefficients are at most size! in size, so with
 2^(B-2) > size! its zero tests are exact and the determinant is read back
 in balanced base 2^B.  The determinant of U(n, k) is the product of the
-dense determinants, each raised to the number of blocks it fills.
+generic dense determinants, each raised to the number of blocks it
+fills, multiplied out by the integer kernel `ring.laurent_product` and
+converted to the mode once; the closed form is built the same way.
 
 `block_rows` assembles full rows from the dense blocks, a block row
 between runs of one shared zero; the matrix, the radical basis and the
@@ -43,11 +45,11 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd
 
-from .ring import (GENERIC, beta, beta_power, real_beta_power,
+from .ring import (GENERIC, beta, beta_power, laurent_product, real_beta_power,
                    real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_links, site_nodes
-from .tl_reference import det_gram_tl, dim_irr_tl, dim_v
+from .tl_reference import det_gram_tl, dim_irr_tl
 
 
 def gram_product(x, y, mode=GENERIC):
@@ -247,9 +249,9 @@ def _bareiss_int(rows):
 
 
 @lru_cache(maxsize=None)
-def _dense_det(m, k, mode):
-    """Determinant of the dense (m, k) Gram block in the ring of the mode."""
-    det, b = mode.zero(), beta(mode)
+def _dense_det(m, k):
+    """Determinant of the dense (m, k) Gram block as a Laurent polynomial."""
+    det, b = GENERIC.zero(), beta()
     for c in reversed(_dense_det_beta(m, k)):
         det = det * b + c  # Horner's rule in beta
     return det
@@ -257,32 +259,26 @@ def _dense_det(m, k, mode):
 
 def gram_det_direct(n, k, mode=GENERIC):
     """
-    Determinant by elimination: the determinant of each distinct dense
-    block (`_dense_det`) raised to the number of diagonal blocks it fills.
+    Determinant by elimination: the generic determinant of each distinct
+    dense block (`_dense_det`) raised to the number of diagonal blocks it
+    fills, multiplied out by the integer kernel `laurent_product` and
+    converted to the mode once; at a root of unity this is the
+    specialisation of the generic determinant.
     """
-    det = mode.one()
-    for occ, count in Counter(occ for _s, _e, occ in gram_blocks(n, k)).items():
-        det = det * _dense_det(occ, k, mode) ** count
-    return det
+    counts = Counter(occ for _s, _e, occ in gram_blocks(n, k))
+    return mode.convert(laurent_product((_dense_det(occ, k), count)
+                                        for occ, count in counts.items()))
 
 
 def gram_det_closed(n, k, mode=GENERIC):
     """
     Closed form: the product over occupied-site counts of the dense Gram
-    determinant raised to a binomial multiplicity.
+    determinant `det_gram_tl` raised to a binomial multiplicity, by the
+    integer kernel `laurent_product`, converted to the mode once.  The
+    all-defect block (m == k) pairs to 1 and is left out.
     """
-    det = GENERIC.one()
-    for p in range((n - k) // 2 + 1):
-        m = k + 2 * p
-        e = comb(n, m)
-        if dim_v(m, k) == 0 or e == 0:
-            continue
-        if m == k:
-            block = GENERIC.one()  # the all-defect block pairs to 1
-        else:
-            block = det_gram_tl(m, k)
-        det = det * block ** e
-    return mode.convert(det)
+    return mode.convert(laurent_product(
+        (det_gram_tl(m, k), comb(n, m)) for m in range(k + 2, n + 1, 2)))
 
 
 def _rref(mat):

@@ -15,7 +15,7 @@ from math import comb
 
 from .ring import GENERIC, beta_power
 from .diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
-                           product_seam, slot_nodes, glue)
+                           check_compatible, product_seam, slot_nodes, glue)
 from .tl_reference import dim_v
 
 
@@ -114,7 +114,9 @@ class LinComb:
         if terms:
             for v, c in terms.items():
                 if c:
-                    assert v.n == n
+                    if v.n != n:
+                        raise ValueError("state %s in a combination on %d sites"
+                                         % (v.text(), n))
                     self.terms[v] = c
 
     @staticmethod
@@ -127,7 +129,7 @@ class LinComb:
         return not self.terms
 
     def __add__(self, other):
-        assert self.n == other.n and self.mode == other.mode
+        check_compatible(self, other)
         t = dict(self.terms)
         for v, c in other.terms.items():
             w = t.get(v, self.mode.zero()) + c
@@ -249,15 +251,25 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
 
 
 def act(u, v, quotient_k=None):
-    """Bilinear extension of the diagram action to algebra elements."""
+    """
+    Bilinear extension of the diagram action to algebra elements; the
+    terms are summed into one dict, zeros dropped as they arise.
+    """
+    mode = u.mode
     if isinstance(v, LinkState):
-        v = LinComb.from_state(v, u.mode)
-    assert u.n == v.n and u.mode == v.mode
-    out = LinComb(u.n, u.mode)
+        v = LinComb.from_state(v, mode)
+    check_compatible(u, v)
+    zero = mode.zero()
+    acc = {}
     for d, cd in u.terms.items():
         for s, cs in v.terms.items():
-            out = out + act_diagram(d, s, u.mode, quotient_k).scale(cd * cs)
-    return out
+            for w, x in act_diagram(d, s, mode, quotient_k).terms.items():
+                c = acc.get(w, zero) + x * (cd * cs)
+                if c:
+                    acc[w] = c
+                else:
+                    acc.pop(w, None)
+    return LinComb(u.n, mode, acc)
 
 
 def diagram_from_links(x, y):
@@ -267,7 +279,9 @@ def diagram_from_links(x, y):
     crossing strings.  Both states must have the same defect count.
     """
     n = x.n
-    assert y.n == n and x.defect_count() == y.defect_count()
+    if y.n != n or x.defect_count() != y.defect_count():
+        raise ValueError("states %s and %s differ in size or defect count"
+                         % (x.text(), y.text()))
     pairs = []
     for i, j in x.arcs():
         pairs.append((i, j))
@@ -311,7 +325,8 @@ def theta(i, v):
     vacancy, -1 closes the lowest defect into an arc ending at the new
     bottom site (or gives None when there is no defect).
     """
-    assert i in (-1, 0, 1)
+    if i not in (-1, 0, 1):
+        raise ValueError("theta takes -1, 0 or 1, not %r" % (i,))
     if i == 1:
         return LinkState(v.sites + ("D",))
     if i == 0:
@@ -346,7 +361,10 @@ def restriction_psi(v):
     last = v.sites[-1]
     if last in ("V", "D"):
         return None
-    assert isinstance(last, int) and last < v.n - 1
+    if not (isinstance(last, int) and 0 <= last < v.n - 1):
+        # LinkState's constructor rules this out
+        raise ArithmeticError("the bottom site of %r closes no arc from above"
+                              % (v.sites,))
     sites = list(v.sites[:-1])
     sites[last] = "D"
     return LinkState(sites)

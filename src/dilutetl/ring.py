@@ -14,6 +14,19 @@ in non-integral inputs and where a coefficient division does not come out
 even (field inverses).  An int and an integral Fraction compare, hash and
 print alike, so the choice never shows in a result.
 
+Products of powers of int Laurent polynomials, as in the Gram
+determinants, go through one kernel, `laurent_product`: Kronecker
+substitution (Harvey, J. Symbolic Comput. 44, 2009).  Each factor is
+evaluated at q = 2^(8 nb) (in q^g when every exponent gap is a multiple
+of g; the Gram determinants have g = 2, which halves the packed span), the
+values are raised and multiplied as Python ints (C-level multiplication),
+and the product is read back once in balanced base 2^(8 nb).  The digit width comes from the bound
+||prod p^e||_inf <= prod ||p||_1^e, which is close to tight for the Gram
+determinants (663 of 668 bits at n = 8, k = 0).  It is not the general
+multiply: for the few-term products of diagram and module arithmetic the
+packing and read-back cost more than the dict-based `LaurentPoly.__mul__`
+saves, so that stays as it is.
+
 Ring elements are immutable: no operation writes to its operands, and
 neither `LaurentPoly.coeffs` nor `CycloElem.rep` is changed after
 construction.  Memoised values (`beta`, `beta_power`, the dense Gram
@@ -202,6 +215,51 @@ class LaurentPoly:
             e = int(estr)
             coeffs[e] = coeffs.get(e, 0) + Fraction(cstr)
         return LaurentPoly(coeffs)
+
+
+def laurent_product(factors):
+    """
+    The product of p ** e over (p, e) pairs of Laurent polynomials with
+    int coefficients and e >= 0, by Kronecker substitution.  Each factor
+    is shifted to an ordinary polynomial and, when the exponent gaps of
+    every factor share a divisor step, taken in q^step; it is evaluated at
+    X = 2^(8 nb), the values are raised and multiplied as Python ints, and
+    the product is read back once in balanced base X.  Every coefficient
+    of the product is at most prod ||p||_1 ** e in size, and nb bytes are
+    chosen with that bound below 2^(8 nb - 1), so a digit d, stored as
+    d + 2^(8 nb - 1), fits its nb bytes whatever its sign.
+    """
+    factors = [(p, e) for p, e in factors if e]
+    if any(e < 0 for _p, e in factors):
+        raise ValueError("negative power of a Laurent polynomial")
+    bound, lo, span, step = 1, 0, 0, 0
+    for p, e in factors:
+        if any(type(v) is not int for v in p.coeffs.values()):
+            raise ValueError("Kronecker product of a non-integral polynomial: %s" % p)
+        bound *= sum(map(abs, p.coeffs.values())) ** e
+        low = p.min_exp()
+        lo += e * low
+        span += e * (p.max_exp() - low)
+        step = gcd(step, *(x - low for x in p.coeffs))
+    if not bound:
+        return LaurentPoly.zero()  # a zero factor
+    step = step or 1  # every factor a monomial
+    span //= step
+    nb = (bound.bit_length() + 8) // 8
+    off = 1 << (8 * nb - 1)
+    pad = off.to_bytes(nb, "little")
+    total = 1
+    for p, e in factors:
+        digits = _to_dense(p)[::step]
+        value = int.from_bytes(b"".join((d + off).to_bytes(nb, "little")
+                                        for d in digits), "little")
+        total *= (value - int.from_bytes(pad * len(digits), "little")) ** e
+    raw = (total + int.from_bytes(pad * (span + 1), "little")).to_bytes(
+        nb * (span + 1), "little")
+    out = LaurentPoly()
+    out.coeffs = {lo + step * j: d for j in range(span + 1)
+                  if (d := int.from_bytes(raw[j * nb:(j + 1) * nb], "little") - off)}
+    return out
 
 
 def _to_dense(p):

@@ -32,7 +32,8 @@ def pair_info(k, ell, n):
     Partners are reported even when out of range; flags tell whether they
     index actual modules (0 <= partner <= n).
     """
-    assert ell >= 2
+    if ell < 2:
+        raise ValueError("ell must be at least 2, not %r" % (ell,))
     info = {"k": k, "ell": ell, "critical": is_critical(k, ell),
             "k_minus": None, "k_plus": None,
             "k_minus_in_range": False, "k_plus_in_range": False}
@@ -79,7 +80,8 @@ def irr_dims_recurrence(n_max, ell):
     reflection.  Out-of-range entries count as zero and the k = n entry
     is always 1.
     """
-    assert ell >= 2
+    if ell < 2:
+        raise ValueError("ell must be at least 2, not %r" % (ell,))
     rows = [[1]]  # n = 0
     for n in range(n_max):
         prev = rows[-1]

@@ -9,7 +9,7 @@ from dilutetl.ring import GENERIC, beta_power
 from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, glue
 from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
                            gram_matrix, radical_basis, tl_gram_matrix)
-from dilutetl.link_modules import dim_standard
+from dilutetl.link_modules import LinComb, LinkState, act_diagram, dim_standard
 from dilutetl.central import (ROW_OPTIONS, _LEFT_WEIGHT, _RIGHT_WEIGHT,
                               _TILE_INNER)
 
@@ -73,6 +73,20 @@ def embed_bottom(elem):
             out = out + AlgebraElem(
                 n + 1, elem.mode,
                 {DiluteDiagram.from_pairs(n + 1, pairs): c})
+    return out
+
+
+def act_fold(u, v, quotient_k=None):
+    """
+    The diagram action extended term by term, each term added to a fresh
+    combination: the oracle of `link_modules.act`, which sums into one dict.
+    """
+    if isinstance(v, LinkState):
+        v = LinComb.from_state(v, u.mode)
+    out = LinComb(u.n, u.mode)
+    for d, cd in u.terms.items():
+        for s, cs in v.terms.items():
+            out = out + act_diagram(d, s, u.mode, quotient_k).scale(cd * cs)
     return out
 
 

@@ -57,8 +57,9 @@ def test_malformed_input_raises_under_optimize():
     # cross-check or the helper a ring check guards
     code = "\n".join([
         "from dilutetl import central, link_modules, ring, structure",
-        "from dilutetl.diagram_core import DiluteDiagram",
-        "from dilutetl.link_modules import LinkState",
+        "from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, identity",
+        "from dilutetl.link_modules import (LinComb, LinkState, act, diagram_from_links,",
+        "                                   restriction_psi, theta)",
         "from dilutetl.gram import gram_nullity",
         "from dilutetl.ring import (GENERIC, CycloElem, LaurentPoly, QMode, _poly_divmod,",
         "                           cyclotomic_poly, qnum, root_of_unity)",
@@ -77,6 +78,14 @@ def test_malformed_input_raises_under_optimize():
         "def gcd_not_unit():",
         "    ring._poly_ext_gcd = lambda a, b: ([0, 1], [1], [0])",
         "    CycloElem.q(6).inv()",
+        "def bottom_arc_broken():",
+        "    v = LinkState.__new__(LinkState)",  # skips the constructor's checks
+        "    v.n, v.sites = 2, ('V', 5)",
+        "    restriction_psi(v)",
+        "d2 = identity(2).terms",
+        "u1, u2 = LinkState.from_text('D'), LinkState.from_text('DD')",
+        "s1, s2 = LinComb.from_state(u1), LinComb.from_state(u2)",
+        "m6 = root_of_unity(6)",
         "cases = [(ValueError, lambda: DiluteDiagram(2, (2, 3, 0, 1))),",
         "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, None))),",
         "         (ValueError, lambda: LinkState.from_text('(D)')),",
@@ -94,7 +103,21 @@ def test_malformed_input_raises_under_optimize():
         "         (ValueError, lambda: qnum(-1)),",
         "         (ZeroDivisionError, lambda: LaurentPoly.q().subs_fraction(0)),",
         "         (ArithmeticError, remainder_left),",
-        "         (ArithmeticError, gcd_not_unit)]",
+        "         (ArithmeticError, gcd_not_unit),",
+        "         (ValueError, lambda: AlgebraElem(1, GENERIC, d2)),",
+        "         (ValueError, lambda: identity(1) + identity(2)),",
+        "         (ValueError, lambda: identity(2) + identity(2, m6)),",
+        "         (ValueError, lambda: AlgebraElem(1) * identity(2)),",
+        "         (ValueError, lambda: LinComb(1, GENERIC, s2.terms)),",
+        "         (ValueError, lambda: s1 + s2),",
+        "         (ValueError, lambda: act(AlgebraElem(1), u2)),",
+        "         (ValueError, lambda: act(identity(2, m6), s2)),",
+        "         (ValueError, lambda: diagram_from_links(u1, u2)),",
+        "         (ValueError, lambda: diagram_from_links(u2, LinkState.from_text('()'))),",
+        "         (ValueError, lambda: theta(2, u1)),",
+        "         (ArithmeticError, bottom_arc_broken),",
+        "         (ValueError, lambda: structure.pair_info(0, 1, 3)),",
+        "         (ValueError, lambda: structure.irr_dims_recurrence(3, 1))]",
         "for i, (error, make) in enumerate(cases):",
         "    try:",
         "        make()",

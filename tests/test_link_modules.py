@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import frac_rank
+from helpers import act_fold, frac_rank
 
-from dilutetl.ring import GENERIC, LaurentPoly, beta
+from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
+from dilutetl.central import build_F
 from dilutetl.diagram_core import (AlgebraElem, all_generators,
                                    enumerate_diagrams, identity, transpose)
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
@@ -192,3 +193,23 @@ def test_standard_module_is_cyclic():
                     row[index[v]] = c.subs_fraction(Fraction(3, 2))
                 rows.append(row)
             assert frac_rank(rows) == len(basis), (n, k)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, root_of_unity(6), root_of_unity(8)],
+                         ids=["generic", "m6", "m8"])
+def test_act_matches_term_fold(mode):
+    """
+    act sums into one dict; the oracle folds term by term.  Every
+    generator and F act on each state and on a signed combination of all
+    the states (whose terms can cancel), with and without the quotient.
+    """
+    for n in range(1, 5):
+        elems = [g for _label, g in all_generators(n, mode)] + [build_F(n, mode)]
+        for k in range(n + 1):
+            states = enumerate_links(n, k)
+            mix = LinComb(n, mode, {v: mode.q_power(i % 3) * (-1) ** i
+                                    for i, v in enumerate(states)})
+            for u in elems:
+                for v in (*states, mix):
+                    for qk in (None, k):
+                        assert act(u, v, qk) == act_fold(u, v, qk), (n, k, u, v, qk)

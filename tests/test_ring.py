@@ -1,6 +1,7 @@
 """Exact coefficient rings: Laurent polynomials and cyclotomic fields."""
 
 import cmath
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,8 +10,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, beta,
-                           cyclotomic_poly, ell_of, qnum, real_beta_power,
-                           real_cyclotomic_poly, root_of_unity)
+                           cyclotomic_poly, ell_of, laurent_product, qnum,
+                           real_beta_power, real_cyclotomic_poly,
+                           root_of_unity)
 
 settings.register_profile("fixed", derandomize=True, max_examples=60)
 settings.load_profile("fixed")
@@ -162,3 +164,50 @@ def test_small_m_rejected():
         ell_of(2)
     with pytest.raises(ValueError):
         CycloElem.one(2)
+
+
+def _product_fold(factors):
+    """The dict-based product of p ** e: the oracle of laurent_product."""
+    out = LaurentPoly.one()
+    for p, e in factors:
+        out = out * p ** e
+    return out
+
+
+def _random_int_laurent(rng, terms, size):
+    return LaurentPoly({rng.randint(-6, 6): rng.randint(-size, size)
+                        for _ in range(terms)})
+
+
+def test_laurent_product_matches_fold():
+    rng = random.Random(2009)
+    for _ in range(150):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.2:  # a high power of a short factor
+                p, e = _random_int_laurent(rng, rng.randint(1, 2), 3), rng.randint(30, 70)
+            else:
+                p, e = _random_int_laurent(rng, rng.randint(1, 5), 300), rng.randint(0, 6)
+            factors.append((p, e))
+        assert laurent_product(factors) == _product_fold(factors), factors
+
+
+def test_laurent_product_edge_cases():
+    q, zero = LaurentPoly.q, LaurentPoly.zero()
+    assert laurent_product([]) == LaurentPoly.one()
+    assert laurent_product([(zero, 0), (q(3), 0)]) == LaurentPoly.one()
+    assert laurent_product([(q(-2) + 5, 2), (zero, 1)]).is_zero()
+    # monomials and same-sign digits meet the coefficient bound exactly,
+    # at either side of a byte boundary
+    for c in (127, 128, -128, 129, 255, 256, 2 ** 15, -2 ** 15 - 1):
+        for p, e in ((LaurentPoly({-3: c}), 1), (LaurentPoly({4: c}), 3)):
+            assert laurent_product([(p, e)]) == p ** e, (c, e)
+    for p in (q(-1) + q(1), 1 - q(2), q(-5) * 2 - q(-2) + q(1) * 7):
+        for e in (1, 2, 7, 70):
+            assert laurent_product([(p, e)]) == p ** e
+    assert laurent_product([(q(-3) * -2, 7), (q(-1) - q(1), 3)]) == (
+        q(-21) * -128 * (q(-1) - q(1)) ** 3)
+    with pytest.raises(ValueError):
+        laurent_product([(LaurentPoly({0: Fraction(1, 2)}), 1)])
+    with pytest.raises(ValueError):
+        laurent_product([(q(1), -1)])
