@@ -10,9 +10,13 @@ non-interleaving of partner pairs in circular order.
 
 The product glues two diagrams side by side; each closed floating loop
 contributes a factor beta, and any string that meets a vacancy kills the
-product.  glue() is the one routine that follows strings: the product, the
-action on link states, the bilinear form and the tile-built central element
-each number their nodes, call it and read off the result.
+product.  So a product is nonzero only when the vacancies of the left
+factor's right side sit where those of the right factor's left side do:
+each diagram carries the two side patterns as int masks (`west`, `east`),
+and a product of elements glues only the pairs whose masks agree.
+glue() is the one routine that follows strings: the product, the action
+on link states, the bilinear form and the tile-built central element each
+number their nodes, call it and read off the result.
 """
 
 from functools import lru_cache
@@ -25,9 +29,14 @@ DEFECT = -2  # glue() input: a string stops at this node
 
 
 class DiluteDiagram:
-    """An immutable dilute diagram: a pairing array over 2n boundary slots."""
+    """
+    An immutable dilute diagram: a pairing array over 2n boundary slots.
+    Bit s of `west` (of `east`) is set when site s+1 of the left (right)
+    side is vacant, so a product a*b can be nonzero only if
+    a.east == b.west.
+    """
 
-    __slots__ = ("n", "pairing")
+    __slots__ = ("n", "pairing", "west", "east")
 
     def __init__(self, n, pairing):
         pairing = tuple(pairing)
@@ -35,13 +44,21 @@ class DiluteDiagram:
         if len(pairing) != size:
             raise ValueError("a diagram on %d sites has %d slots, not %d"
                              % (n, size, len(pairing)))
+        west = east = 0
         for i, p in enumerate(pairing):
-            if p is not VACANT and not (0 <= p < size and p != i and pairing[p] == i):
+            if p is VACANT:
+                if i < n:
+                    west |= 1 << i
+                else:
+                    east |= 1 << (size - 1 - i)
+            elif not (0 <= p < size and p != i and pairing[p] == i):
                 raise ValueError("pairing must be an involution: %r" % (pairing,))
         if not _noncrossing(pairing):
             raise ValueError("strings must not cross: %r" % (pairing,))
         self.n = n
         self.pairing = pairing
+        self.west = west
+        self.east = east
 
     @staticmethod
     def from_pairs(n, pairs):
@@ -59,7 +76,7 @@ class DiluteDiagram:
         return [i for i, p in enumerate(self.pairing) if p is VACANT]
 
     def left_vacancy_count(self):
-        return sum(1 for i in range(self.n) if self.pairing[i] is VACANT)
+        return self.west.bit_count()
 
     def sort_key(self):
         return tuple(-1 if p is VACANT else p for p in self.pairing)
@@ -173,14 +190,10 @@ def multiply_diagrams_raw(a, b):
     """
     if a.n != b.n:
         raise ValueError("diagram sizes differ: %d and %d" % (a.n, b.n))
+    if a.east != b.west:  # a string meets a vacancy at the glued boundary
+        return 0, None
     n = a.n
     size = 2 * n
-    # most products vanish: reject a vacancy mismatch before any list is
-    # built (a's slot 2n-1-s meets b's slot s)
-    ap, bp = a.pairing, b.pairing
-    for s in range(n):
-        if (ap[size - 1 - s] is VACANT) != (bp[s] is VACANT):
-            return 0, None
     ends, loops = glue(slot_nodes(a) + slot_nodes(b, size), product_seam(n))
     pairing = [VACANT] * size
     for e, o in ends.items():
@@ -242,17 +255,29 @@ class AlgebraElem:
         return AlgebraElem(self.n, self.mode, {d: v * c for d, v in self.terms.items()})
 
     def __mul__(self, other):
+        """
+        The product, summed into one dict; each left term is glued only to
+        the right terms whose west mask matches its east mask, the only
+        pairs whose product does not vanish.
+        """
         check_compatible(self, other)
+        by_west = {}
+        for d2, c2 in other.terms.items():
+            by_west.setdefault(d2.west, []).append((d2, c2))
         acc = {}
         for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
+            group = by_west.get(d1.east)
+            if group is None:
+                continue
+            for d2, c2 in group:
                 loops, d = multiply_diagrams_raw(d1, d2)
-                if d is None:
-                    continue
-                c = c1 * c2 * beta_power(self.mode, loops)
-                w = acc.get(d, self.mode.zero()) + c
-                if w:
-                    acc[d] = w
+                c = c1 * c2
+                if loops:
+                    c = c * beta_power(self.mode, loops)
+                if d in acc:
+                    c = acc[d] + c
+                if c:
+                    acc[d] = c
                 else:
                     acc.pop(d, None)
         return AlgebraElem(self.n, self.mode, acc)

@@ -48,7 +48,8 @@ from math import comb, factorial, gcd
 from .ring import (GENERIC, beta, beta_power, laurent_product, real_beta_power,
                    real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
-from .link_modules import dim_standard, enumerate_links, site_nodes
+from .link_modules import (dim_standard, enumerate_dense_links, enumerate_links,
+                           site_nodes)
 from .tl_reference import det_gram_tl, dim_irr_tl
 
 
@@ -67,9 +68,8 @@ def _pair_loops(x, y):
     if y.n != n or x.defect_count() != y.defect_count():
         raise ValueError("states %s and %s differ in size or defect count"
                          % (x.text(), y.text()))
-    for a, b in zip(x.sites, y.sites):  # the cheap early reject
-        if (a == "V") != (b == "V"):
-            return None
+    if x.vac != y.vac:  # a string meets a vacancy
+        return None
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y
     ends, loops = glue(site_nodes(x) + site_nodes(y, n), _mirror_seam(n))
     for e, o in ends.items():
@@ -183,7 +183,7 @@ def _dense_loops(m, k):
     count of each pairing of two states without vacancies, None where it
     vanishes.
     """
-    basis = [v for v in enumerate_links(m, k) if "V" not in v.sites]
+    basis = enumerate_dense_links(m, k)
     rows = [[None] * len(basis) for _ in basis]
     for i, u in enumerate(basis):  # the pairing is symmetric: glue i <= j
         for j in range(i, len(basis)):

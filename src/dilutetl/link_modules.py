@@ -7,7 +7,10 @@ exactly k defects form the basis of the k-th standard module; the algebra
 acts by gluing a diagram on the left, with a factor beta per closed loop,
 zero on any string/vacancy mismatch, and removal of strings that join two
 defects.  In the standard-module action, resulting states with fewer than
-k defects are dropped.
+k defects are dropped.  A diagram acts on a state only if its right side
+is vacant exactly where the state is: each state carries its vacancy
+pattern as an int mask (`vac`, compared with a diagram's `east`), and
+`act` glues only the pairs whose masks agree.
 """
 
 from functools import lru_cache
@@ -20,17 +23,22 @@ from .tl_reference import dim_v
 
 
 class LinkState:
-    """An immutable link state; sites is a tuple over {'V','D', partner-int}."""
+    """
+    An immutable link state; sites is a tuple over {'V','D', partner-int}.
+    Bit i of `vac` is set when site i+1 is vacant.
+    """
 
-    __slots__ = ("n", "sites")
+    __slots__ = ("n", "sites", "vac")
 
     def __init__(self, sites):
         sites = tuple(sites)
         n = len(sites)
         # validate arcs: ints point at each other and nest properly
         stack = []
+        vac = 0
         for i, s in enumerate(sites):
             if s == "V":
+                vac |= 1 << i
                 continue
             if s == "D":
                 if stack:
@@ -46,6 +54,7 @@ class LinkState:
                 stack.pop()
         self.n = n
         self.sites = sites
+        self.vac = vac
 
     def defect_count(self):
         return self.sites.count("D")
@@ -192,6 +201,37 @@ def enumerate_links(n, k):
 
 
 @lru_cache(maxsize=None)
+def enumerate_dense_links(n, k):
+    """
+    The link states on n sites with k defects and no vacancy, in the order
+    enumerate_links keeps them (by text(): '(' < ')' < 'D'), built
+    directly instead of filtered from every dilute state.
+    """
+    if not 0 <= k <= n or (n - k) % 2:
+        return ()
+    out = []
+
+    def build(sites, open_stack, defects_left):
+        # invariant: open arcs plus defects to place fit in the sites left
+        i = len(sites)
+        if i == n:
+            out.append(LinkState(sites))
+            return
+        if len(open_stack) + defects_left < n - i - 1:
+            build(sites + [None], open_stack + [i], defects_left)
+        if open_stack:
+            j = open_stack[-1]
+            closed = sites + [j]
+            closed[j] = i
+            build(closed, open_stack[:-1], defects_left)
+        elif defects_left:  # a defect below an open arc would cross it
+            build(sites + ["D"], open_stack, defects_left - 1)
+
+    build([], [], k)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _trinomial(n, k):
     """Coefficient of x^k in (x + 1 + 1/x)^n."""
     if abs(k) > n:
@@ -232,11 +272,9 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     n = d.n
     if v.n != n:
         raise ValueError("diagram on %d sites, state on %d" % (n, v.n))
+    if d.east != v.vac:  # a string meets a vacancy where the two are glued
+        return LinComb(n, mode)
     size = 2 * n
-    # the cheap early reject: diagram slot 2n-1-i meets link site i
-    for i, s in enumerate(v.sites):
-        if (d.pairing[size - 1 - i] is VACANT) != (s == "V"):
-            return LinComb(n, mode)
     # nodes: the diagram's slots, then the link sites where a right-hand
     # factor's left slots would be, so the product's seam serves
     ends, loops = glue(slot_nodes(d) + site_nodes(v, size), product_seam(n))
@@ -253,18 +291,27 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
 def act(u, v, quotient_k=None):
     """
     Bilinear extension of the diagram action to algebra elements; the
-    terms are summed into one dict, zeros dropped as they arise.
+    terms are summed into one dict, zeros dropped as they arise.  Each
+    diagram meets only the states whose vacancy mask matches its east
+    mask, the only pairs whose action does not vanish.
     """
     mode = u.mode
     if isinstance(v, LinkState):
         v = LinComb.from_state(v, mode)
     check_compatible(u, v)
-    zero = mode.zero()
+    by_vac = {}
+    for s, cs in v.terms.items():
+        by_vac.setdefault(s.vac, []).append((s, cs))
     acc = {}
     for d, cd in u.terms.items():
-        for s, cs in v.terms.items():
+        group = by_vac.get(d.east)
+        if group is None:
+            continue
+        for s, cs in group:
             for w, x in act_diagram(d, s, mode, quotient_k).terms.items():
-                c = acc.get(w, zero) + x * (cd * cs)
+                c = x * (cd * cs)
+                if w in acc:
+                    c = acc[w] + c
                 if c:
                     acc[w] = c
                 else:

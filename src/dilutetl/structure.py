@@ -184,7 +184,7 @@ def _coeff_map(elem, k, y):
         lz, ry = links_of_diagram(d)
         if ry != y:
             return None
-        out[lz] = out.get(lz, elem.mode.zero()) + c
+        out[lz] = out[lz] + c if lz in out else c
     return {z: c for z, c in out.items() if c}
 
 
@@ -193,38 +193,37 @@ def verify_cellularity(n, k, mode=GENERIC):
     Check the basis-transport axiom on the diagram basis: for every
     generator u, the coefficients of u |x y~| modulo lower filtration
     layers do not depend on y, agree with the standard-module action of u
-    on x, and sandwich products collapse to the bilinear form.
+    on x, and sandwich products collapse to the bilinear form.  Each
+    |x y~|, each action u x, each pairing <y, z> and each
+    phi = <y, u x'> is built once and shared by the checks that use it.
     """
     basis = enumerate_links(n, k)
-    gens = [("id", identity(n, mode))] + list(all_generators(n, mode))
-    for _lab, u in gens:
-        for x in basis:
-            # same coefficients as the standard-module action, for every y
-            action = dict(act(u, x, quotient_k=k).terms)
+    gens = [identity(n, mode)] + [u for _lab, u in all_generators(n, mode)]
+    diagrams = {(x, y): diagram_from_links(x, y) for x in basis for y in basis}
+    cells = {xy: AlgebraElem.from_diagram(d, mode) for xy, d in diagrams.items()}
+    pairing = {(y, z): gram_product(y, z, mode) for y in basis for z in basis}
+    zero = mode.zero()
+    for u in gens:
+        actions = [(x, act(u, x, quotient_k=k)) for x in basis]
+        # same coefficients as the standard-module action, for every y
+        for x, ux in actions:
             for y in basis:
-                c = AlgebraElem(n, mode,
-                                {diagram_from_links(x, y): mode.one()})
-                if _coeff_map(u * c, k, y) != action:
+                if _coeff_map(u * cells[x, y], k, y) != ux.terms:
                     return False
-    # sandwich rule: |x y~| u |x' y''~| = <y, u x'> |x y''| mod lower
-    for _lab, u in gens:
-        uxps = [(xp, act(u, xp, quotient_k=k)) for xp in basis]
-        for x in basis[:2]:
-            for y in basis:
-                left_u = AlgebraElem(
-                    n, mode, {diagram_from_links(x, y): mode.one()}) * u
-                for xp, uxp in uxps:
-                    phi = mode.zero()
-                    for z, cz in uxp.terms.items():
-                        phi = phi + gram_product(y, z, mode) * cz
+        # sandwich rule: |x y~| u |x' y''~| = <y, u x'> |x y''| mod lower
+        for y in basis:
+            phis = []
+            for xp, uxp in actions:
+                phi = zero
+                for z, cz in uxp.terms.items():
+                    phi = phi + pairing[y, z] * cz
+                phis.append((xp, phi))
+            for x in basis[:2]:
+                left_u = cells[x, y] * u
+                for xp, phi in phis:
                     for yp in basis[:2]:
-                        right = AlgebraElem(
-                            n, mode, {diagram_from_links(xp, yp): mode.one()})
-                        prod = reduce_mod_ideal(left_u * right, k)
-                        expected = AlgebraElem(n, mode, {
-                            diagram_from_links(x, yp): phi}) if phi else \
-                            AlgebraElem(n, mode)
-                        if prod != expected:
+                        prod = reduce_mod_ideal(left_u * cells[xp, yp], k)
+                        if prod.terms != ({diagrams[x, yp]: phi} if phi else {}):
                             return False
     return True
 

@@ -6,7 +6,8 @@ from functools import lru_cache
 from itertools import product
 
 from dilutetl.ring import GENERIC, beta_power
-from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, glue
+from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, glue,
+                                   multiply_diagrams_raw)
 from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
                            gram_matrix, radical_basis, tl_gram_matrix)
 from dilutetl.link_modules import LinComb, LinkState, act_diagram, dim_standard
@@ -74,6 +75,27 @@ def embed_bottom(elem):
                 n + 1, elem.mode,
                 {DiluteDiagram.from_pairs(n + 1, pairs): c})
     return out
+
+
+def mul_fold(a, b):
+    """
+    The product of two algebra elements over every pair of terms, the
+    vanishing ones included: the oracle of `AlgebraElem.__mul__`, which
+    glues only the pairs whose vacancy masks match.
+    """
+    acc = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            loops, d = multiply_diagrams_raw(d1, d2)
+            if d is None:
+                continue
+            c = c1 * c2 * beta_power(a.mode, loops)
+            w = acc.get(d, a.mode.zero()) + c
+            if w:
+                acc[d] = w
+            else:
+                acc.pop(d, None)
+    return AlgebraElem(a.n, a.mode, acc)
 
 
 def act_fold(u, v, quotient_k=None):

@@ -36,7 +36,8 @@ def test_row_transfer_matches_enumeration(n, mode):
 
 
 @pytest.mark.parametrize("n,mode", [(5, GENERIC), (6, GENERIC),
-                                    (5, root_of_unity(6))], ids=repr)
+                                    (5, root_of_unity(6)), (6, root_of_unity(6))],
+                         ids=repr)
 def test_central_and_eigenvalues_beyond_criterion_5(n, mode):
     assert check_central(n, mode)
     for k in range(n + 1):

@@ -7,17 +7,18 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import motzkin
+from helpers import motzkin, mul_fold
 
 from dilutetl.ring import GENERIC, root_of_unity
-from dilutetl.diagram_core import (DEFECT, AlgebraElem, DiluteDiagram,
+from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
                                    all_generators, crossing_count,
                                    enumerate_diagrams, generator, glue,
                                    identity, multiply_diagrams_raw,
                                    parity_split, projector_pi,
                                    reduce_mod_ideal, transpose,
                                    transpose_diagram)
-from dilutetl.link_modules import LinkState, act_diagram, base_vd_state
+from dilutetl.link_modules import (LinkState, act_diagram, base_vd_state,
+                                   enumerate_links)
 from dilutetl.gram import gram_product
 from dilutetl.central import build_F
 
@@ -278,3 +279,40 @@ def test_json_roundtrip():
 def test_transpose_diagram_is_mirror():
     d = DiluteDiagram.from_pairs(2, [(0, 1)])
     assert transpose_diagram(d).pairs() == [(2, 3)]
+
+
+def test_vacancy_masks_match_sites():
+    """west/east and vac are the per-site vacancy patterns as bit masks."""
+    for n in range(1, 5):
+        for d in enumerate_diagrams(n):
+            west = sum(1 << s for s in range(n) if d.pairing[s] is VACANT)
+            east = sum(1 << s for s in range(n)
+                       if d.pairing[2 * n - 1 - s] is VACANT)
+            assert (d.west, d.east) == (west, east), d
+    for n in range(7):
+        for k in range(n + 1):
+            for v in enumerate_links(n, k):
+                assert v.vac == sum(1 << i for i, s in enumerate(v.sites)
+                                    if s == "V"), v
+
+
+@pytest.mark.parametrize("mode", [GENERIC, root_of_unity(6), root_of_unity(8)],
+                         ids=["generic", "m6", "m8"])
+def test_mul_matches_pair_fold(mode):
+    """
+    The product glues only mask-matched pairs; the oracle glues every
+    pair.  Every pair of generators, F times each generator on both
+    sides, and a +-1 combination of all diagrams squared and times each
+    generator on both sides (whose terms cancel in every mode).
+    """
+    for n in range(1, 5):
+        gens = [g for _label, g in all_generators(n, mode)]
+        f = build_F(n, mode)
+        pairs = [(a, b) for a in gens for b in gens]
+        pairs += [(f, g) for g in gens] + [(g, f) for g in gens]
+        if n <= 3:
+            mix = AlgebraElem(n, mode, {d: mode.const((-1) ** i)
+                                        for i, d in enumerate(enumerate_diagrams(n))})
+            pairs += [(mix, mix)] + [(mix, g) for g in gens] + [(g, mix) for g in gens]
+        for a, b in pairs:
+            assert a * b == mul_fold(a, b), (n, a, b)

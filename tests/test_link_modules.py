@@ -13,7 +13,8 @@ from dilutetl.diagram_core import (AlgebraElem, all_generators,
                                    enumerate_diagrams, identity, transpose)
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
                                    base_vd_state, diagram_from_links,
-                                   dim_standard, enumerate_links,
+                                   dim_standard, enumerate_dense_links,
+                                   enumerate_links,
                                    enumerate_vd_states, induced_basis,
                                    links_of_diagram, phi_iso, restriction_phi,
                                    restriction_psi, theta)
@@ -47,6 +48,14 @@ def test_enumeration_matches_dimension():
     for n in range(0, 7):
         for k in range(n + 1):
             assert len(enumerate_links(n, k)) == dim_standard(n, k)
+
+
+def test_dense_enumeration_matches_filtered():
+    """The states without vacancies, built directly, in the filtered order."""
+    for n in range(11):
+        for k in range(-1, n + 2):
+            want = tuple(v for v in enumerate_links(n, k) if "V" not in v.sites)
+            assert enumerate_dense_links(n, k) == want, (n, k)
 
 
 def test_dimension_table_small():

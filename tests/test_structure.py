@@ -7,7 +7,8 @@ import pytest
 
 from helpers import motzkin
 
-from dilutetl.ring import GENERIC, root_of_unity
+from dilutetl import structure
+from dilutetl.ring import GENERIC, beta, root_of_unity
 from dilutetl.link_modules import dim_standard
 from dilutetl.structure import (algebra_dim, cartan_matrix,
                                 decomposition_matrix, dim_irr,
@@ -145,6 +146,29 @@ def test_cellularity_small():
     for k in range(3):
         assert verify_cellularity(2, k)
     assert verify_cellularity(3, 1)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_cellularity_n4_at_root(k):
+    assert verify_cellularity(4, k, root_of_unity(6))
+
+
+def _drop_one_term(act):
+    def patched(u, v, quotient_k=None):
+        out = act(u, v, quotient_k)
+        if out.terms:
+            del out.terms[next(iter(out.terms))]
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("target,wrap", [
+    ("gram_product", lambda f: lambda y, z, mode=GENERIC: f(y, z, mode) * beta(mode)),
+    ("act", _drop_one_term)], ids=["pairing_times_beta", "act_drops_a_term"])
+def test_cellularity_detects_a_broken_operand(monkeypatch, target, wrap):
+    """Operands built once outside the loops still reach the checks."""
+    monkeypatch.setattr(structure, target, wrap(getattr(structure, target)))
+    assert not verify_cellularity(3, 1)
 
 
 def test_dim_irr_bounds():
