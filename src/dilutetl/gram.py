@@ -16,12 +16,17 @@ block is first built once as a loop matrix (`_dense_loops`: the number of
 closed loops, or None where the pairing vanishes) and then specialised
 to a mode by beta^loops.  At a primitive m-th root of unity every cell is
 a power of beta = q + q^-1, so the whole block lies in the real subfield
-Q(beta) of degree phi(m)/2, and its rank there equals its rank over
-Q(zeta_m).  The nullities are therefore ranks over Z[beta] = Z[x]/(psi_m)
-(`ring.real_cyclotomic_poly`), by fraction-free elimination on integer
-coordinate lists, with no field inverse.  The radical basis keeps the
-field elimination over Q(zeta_m), whose reduced row echelon form is the
-printed basis.
+Q(beta) of degree phi(m)/2, and its rank and nullspace there are those
+over Q(zeta_m).  Nullity and radical come from one echelon over Z[beta] =
+Z[x]/(psi_m) (`ring.real_cyclotomic_poly`) plus back-substitution: one
+fraction-free elimination on integer coordinate lists per dense block and
+m (`_dense_echelon`), whose pivot count is the rank, and whose pivot rows
+give one radical vector per free column, with 1 there and 0 at the other
+free columns.  Every echelon form of a matrix has the same pivot columns,
+the leftmost independent ones, and the null vector with those free values
+is unique, so it is the one the reduced row echelon form over Q(zeta_m)
+gives (`_nullspace_field`, the oracle): the printed basis does not depend
+on the elimination.
 
 The determinant of a dense block is likewise computed once, as a
 polynomial in beta with int coefficients, for every mode
@@ -41,15 +46,15 @@ the rows joined into the document) are all built from it.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd
 
-from .ring import (GENERIC, beta, beta_power, laurent_product, real_beta_power,
-                   real_cyclotomic_poly, times_beta)
+from .ring import (GENERIC, CycloElem, beta, beta_power, laurent_product,
+                   real_beta_power, real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
-from .link_modules import (dim_standard, enumerate_dense_links, enumerate_links,
-                           site_nodes)
+from .link_modules import dim_standard, enumerate_dense_links, site_nodes
 from .tl_reference import det_gram_tl, dim_irr_tl
 
 
@@ -97,17 +102,18 @@ def gram_matrix(n, k, mode=GENERIC):
 def gram_blocks(n, k):
     """
     Index ranges of the diagonal blocks, one per vacancy configuration,
-    as (start, end, occupied_count) triples over the ordered basis.
+    as (start, end, occupied_count) triples over the ordered basis.  The
+    basis orders states by vacancy count, then vacancy positions (the
+    order of `itertools.combinations`), so the blocks follow in that order,
+    comb(n, v) blocks of the dense size for v vacancies, the empty ones
+    left out.
     """
-    basis = enumerate_links(n, k)
-    out = []
-    start = 0
-    for i, v in enumerate(basis):
-        if i and v.vacancy_positions() != basis[i - 1].vacancy_positions():
-            out.append((start, i, n - len(basis[start].vacancy_positions())))
-            start = i
-    if basis:
-        out.append((start, len(basis), n - len(basis[start].vacancy_positions())))
+    out, start = [], 0
+    for v in range(n + 1):
+        size = len(enumerate_dense_links(n - v, k))
+        for _ in range(comb(n, v) if size else 0):
+            out.append((start, start + size, n - v))
+            start += size
     return tuple(out)
 
 
@@ -195,12 +201,6 @@ def _dense_loops(m, k):
 def _dense_block(m, k, mode):
     """The dense (m, k) Gram matrix as a tuple of row tuples, built once."""
     return tuple(tuple(row) for row in tl_gram_matrix(m, k, mode))
-
-
-@lru_cache(maxsize=None)
-def _dense_nullspace(m, k, mode):
-    """Nullspace basis of the dense (m, k) Gram block, as tuples, built once."""
-    return tuple(tuple(v) for v in _nullspace_field(_dense_block(m, k, mode), mode))
 
 
 @lru_cache(maxsize=None)
@@ -331,43 +331,45 @@ def _nullspace_field(mat, mode):
     return basis
 
 
-def _rank_over_z_beta(loops, m):
+@lru_cache(maxsize=None)
+def _dense_echelon(occ, k, m):
     """
-    Rank over Q(beta) of the matrix with cells beta^loops (zero where
-    loops is None) at a primitive m-th root of unity, in integer
-    arithmetic on Z[beta] = Z[x]/(psi_m): each cell is its d = phi(m)/2
-    coordinates, and a row is kept as d coordinate lists.  Sparse
-    fraction-free elimination: a pivot p updates only the rows with a
-    nonzero entry f in its column, as row <- p*row - f*pivot_row, and each
-    updated row is divided by the gcd of its integer coordinates.  Both
-    steps are invertible over Q(beta), and psi_m is irreducible, so a cell
-    is zero exactly when its coordinates are; no field inverse and no
+    A row echelon form over Z[beta] = Z[x]/(psi_m) of the dense (occ, k)
+    Gram block at a primitive m-th root of unity, shared by every mode
+    with that m: its pivot rows, top to bottom, each as (pivot column, d
+    coordinate lists of the cells from that column on), d = phi(m)/2.
+    Sparse fraction-free elimination: a pivot p updates only the rows with
+    a nonzero entry f in its column, as row <- p*row - f*pivot_row, and
+    each updated row is divided by the gcd of its integer coordinates.
+    Both steps are invertible over Q(beta), and psi_m is irreducible, so a
+    cell is zero exactly when its coordinates are; no field inverse and no
     Fraction is used.  Eliminated columns are dropped from the rows.
     """
     psi = real_cyclotomic_poly(m)
     zero = (0,) * (len(psi) - 1)
     rows = []
-    for row in loops:
+    for row in _dense_loops(occ, k):
         planes = [list(c) for c in zip(*(zero if e is None else real_beta_power(m, e)
                                          for e in row))]
         if any(map(any, planes)):
             rows.append(planes)
-    rank = 0
+    echelon, col = [], -1
     while rows and rows[0][0]:  # a nonzero row and a column are left
+        col += 1
         piv = next((i for i, row in enumerate(rows) if any(c[0] for c in row)), None)
         if piv is None:
             rows = [[c[1:] for c in row] for row in rows]
             continue
         prow = rows.pop(piv)
+        echelon.append((col, prow))
         p = _times_table(tuple(c[0] for c in prow), psi)
         ptail = [c[1:] for c in prow]
-        rank += 1
         kept = []
         for row in rows:
             tail = [c[1:] for c in row]
-            f = tuple(c[0] for c in row)
+            f = tuple(-c[0] for c in row)
             if any(f):
-                tail = _combine(p, tail, _times_table(f, psi), ptail)
+                tail = _sum_of_products([(p, tail), (_times_table(f, psi), ptail)])
                 g = gcd(*chain.from_iterable(tail))
                 if not g:
                     continue  # the row is now zero
@@ -375,37 +377,94 @@ def _rank_over_z_beta(loops, m):
                     tail = [[v // g for v in c] for c in tail]
             kept.append(tail)
         rows = kept
-    return rank
+    return tuple(echelon)
 
 
 def _times_table(a, psi):
-    """Multiplication by a in Z[x]/(psi) as rows of a d x d integer matrix."""
+    """Multiplication by a in Q[x]/(psi) as rows of a d x d matrix."""
     cols = [a]
     for _ in range(len(a) - 1):
         cols.append(times_beta(cols[-1], psi))
     return tuple(zip(*cols))
 
 
-def _combine(p, u, f, v):
-    """p*u - f*v on coordinate lists, p and f given by their tables."""
-    out = []
-    for p_i, f_i in zip(p, f):
-        acc = [0] * len(u[0])
-        for c, plane in zip(p_i, u):
-            if c:
-                acc = [a + c * x for a, x in zip(acc, plane)]
-        for c, plane in zip(f_i, v):
-            if c:
-                acc = [a - c * x for a, x in zip(acc, plane)]
-        out.append(acc)
+def _sum_of_products(terms):
+    """
+    The sum of a*u over a nonempty list of (table of a, u) pairs, each u a
+    list of d coordinate lists of one length (cells side by side).
+    """
+    out = [[0] * len(terms[0][1][0]) for _ in terms[0][0]]
+    for table, planes in terms:
+        for i, t_i in enumerate(table):
+            acc = out[i]
+            for c, plane in zip(t_i, planes):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, plane)]
+            out[i] = acc
     return out
 
 
+def _inverse(a, psi):
+    """The inverse of a nonzero a in Q[x]/(psi), by solving a*y = 1."""
+    d = len(a)
+    aug = [[Fraction(v) for v in row] + [int(i == 0)]
+           for i, row in enumerate(_times_table(a, psi))]
+    for c in range(d):
+        r = next(i for i in range(c, d) if aug[i][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(d):
+            if i != c and aug[i][c]:
+                aug[i] = [u - aug[i][c] * v for u, v in zip(aug[i], aug[c])]
+    return tuple(row[d] for row in aug)
+
+
 @lru_cache(maxsize=None)
-def _tl_nullity(m, k, mode):
-    """Nullity of the dense (m, k) Gram block at a root of unity."""
-    loops = _dense_loops(m, k)
-    return len(loops) - _rank_over_z_beta(loops, mode.m)
+def _dense_nullspace(occ, k, mode):
+    """
+    Nullspace basis of the dense (occ, k) Gram block at a root of unity, as
+    tuples of ring cells, built once: one vector per free (non-pivot)
+    column fc of `_dense_echelon`, with x_fc = 1 and every other free
+    column 0, by back-substitution from the last pivot row up, x_pc =
+    -p^-1 * sum(a_c x_c) over Q(beta).  All free columns are solved side
+    by side, each x_c a list of d coordinate lists with one entry per
+    vector; each pivot's inverse is taken once.  The vectors are those of
+    `_nullspace_field` (see the module docstring).
+    """
+    echelon = _dense_echelon(occ, k, mode.m)
+    size = len(_dense_loops(occ, k))
+    pivots = {pc for pc, _planes in echelon}
+    free = [c for c in range(size) if c not in pivots]
+    if not free:
+        return ()
+    psi = real_cyclotomic_poly(mode.m)
+    x = {fc: [[int(i == 0 and j == v) for v in range(len(free))]
+              for i in range(len(psi) - 1)] for j, fc in enumerate(free)}
+    for pc, planes in reversed(echelon):
+        cells = list(zip(*planes))
+        terms = [(_times_table(a, psi), x[pc + c]) for c, a in enumerate(cells)
+                 if c and any(a)]
+        inv = _inverse(tuple(-v for v in cells[0]), psi)
+        x[pc] = (_sum_of_products([(_times_table(inv, psi), _sum_of_products(terms))])
+                 if terms else [[0] * len(free) for _ in psi[1:]])
+    reps = [beta_power(mode, j).rep for j in range(len(psi) - 1)]
+    made = {}
+
+    def cell(coords):
+        if coords not in made:
+            made[coords] = mode.zero() if not any(coords) else CycloElem(
+                mode.m, [sum(c * r[i] for c, r in zip(coords, reps))
+                         for i in range(len(reps[0]))])
+        return made[coords]
+
+    return tuple(tuple(cell(tuple(plane[v] for plane in x[c])) for c in range(size))
+                 for v in range(len(free)))
+
+
+@lru_cache(maxsize=None)
+def _tl_nullity(occ, k, mode):
+    """Nullity of the dense (occ, k) Gram block at a root of unity: size - rank."""
+    return len(_dense_loops(occ, k)) - len(_dense_echelon(occ, k, mode.m))
 
 
 def gram_nullity(n, k, mode):

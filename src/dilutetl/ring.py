@@ -29,8 +29,9 @@ saves, so that stays as it is.
 
 Ring elements are immutable: no operation writes to its operands, and
 neither `LaurentPoly.coeffs` nor `CycloElem.rep` is changed after
-construction.  Memoised values (`beta`, `beta_power`, the dense Gram
-blocks) and matrix cells therefore share element objects freely.
+construction.  Memoised values (`beta`, `beta_power`, each mode's zero
+and one, the dense Gram blocks) and matrix cells therefore share element
+objects freely.
 """
 
 from fractions import Fraction
@@ -581,10 +582,12 @@ class QMode:
         return self.kind == "generic"
 
     def zero(self):
-        return LaurentPoly.zero() if self.is_generic else CycloElem.zero(self.m)
+        """The zero of this mode's ring: one shared element per mode."""
+        return _constant(self, 0)
 
     def one(self):
-        return LaurentPoly.one() if self.is_generic else CycloElem.one(self.m)
+        """The one of this mode's ring: one shared element per mode."""
+        return _constant(self, 1)
 
     def const(self, v):
         return LaurentPoly.const(v) if self.is_generic else CycloElem.const(self.m, v)
@@ -609,6 +612,12 @@ class QMode:
 
 
 GENERIC = QMode("generic")
+
+
+@lru_cache(maxsize=None)
+def _constant(mode, v):
+    """The constant v of a mode's ring, memoised per mode (see `QMode.zero`)."""
+    return mode.const(v)
 
 
 def root_of_unity(m):

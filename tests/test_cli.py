@@ -127,6 +127,12 @@ def test_gram_radical_at_root():
      "012790927d1fd74795ee7df7db1b93d3337a6d464d4743a0ce0a6cb65e4a6a96"),
     (["--n", "8", "--k", "2", "--generic", "--cap-override", "8"],
      "11c4eccb4d3ee4cead01681a84019eea3b44f2cf364ea4366697e11dbdd739e3"),
+    # fractional radical entries
+    (["--n", "7", "--k", "3", "--root-of-unity", "12"],
+     "5b5ac88ec253715fcd0f3117cee3891d8ed0c7f68f3a68833df450707c135495"),
+    # psi_7 of degree 3
+    (["--n", "8", "--k", "5", "--root-of-unity", "7"],
+     "ef15aaa6f1f287066696a2b9ef75e0ba163166b91823a12c3916cad960e78829"),
 ])
 def test_gram_json_bytes_pinned(args, digest):
     """Matrix, blocks, determinants and radical basis, byte for byte."""

@@ -1,5 +1,7 @@
 """The bilinear form: matrices, determinants, radicals and nullities."""
 
+from itertools import groupby
+
 import pytest
 
 from dilutetl.ring import GENERIC, LaurentPoly, beta, qnum, root_of_unity
@@ -10,8 +12,9 @@ from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
                            gram_blocks, gram_det_closed, gram_det_direct,
                            gram_matrix, gram_nullity, gram_product,
                            radical_basis, tl_gram_matrix, _bareiss_det,
-                           _dense_det, _dense_loops, _nullity_field,
-                           _pair_loops, _tl_nullity)
+                           _dense_det, _dense_loops, _dense_nullspace,
+                           _nullity_field, _nullspace_field, _pair_loops,
+                           _tl_nullity)
 from dilutetl.structure import dim_irr
 
 
@@ -45,6 +48,19 @@ def test_block_structure():
         for s, e, occ in blocks:
             vacancies = {basis[i].vacancy_positions() for i in range(s, e)}
             assert len(vacancies) == 1 and n - len(vacancies.pop()) == occ
+
+
+def test_gram_blocks_match_enumerated_basis():
+    """The block table, built from dense sizes, against the whole basis."""
+    for n in range(11):
+        for k in range(-1, n + 2):
+            want, start = [], 0
+            for vac, group in groupby(enumerate_links(n, k),
+                                      key=LinkState.vacancy_positions):
+                end = start + len(list(group))
+                want.append((start, end, n - len(vac)))
+                start = end
+            assert gram_blocks(n, k) == tuple(want), (n, k)
 
 
 @pytest.mark.parametrize("m", [None, 4, 5, 6, 8])
@@ -142,6 +158,21 @@ def test_integer_rank_matches_field_nullity(m):
         for k in range(n % 2, n + 1, 2):
             want = _nullity_field(tl_gram_matrix(n, k, mode))
             assert _tl_nullity(n, k, mode) == want, (n, k, m)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_echelon_radical_matches_field_elimination(m):
+    """
+    Back-substitution on the echelon over Z[beta] gives, cell for cell,
+    the nullspace basis read off the reduced row echelon form over
+    Q(zeta_m), and the nullity is that basis's length.
+    """
+    mode = root_of_unity(m)
+    for n in range(9 if m in (6, 8) else 8):
+        for k in range(n % 2, n + 1, 2):
+            want = _nullspace_field(tl_gram_matrix(n, k, mode), mode)
+            assert [list(v) for v in _dense_nullspace(n, k, mode)] == want, (n, k, m)
+            assert _tl_nullity(n, k, mode) == len(want), (n, k, m)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])

@@ -13,6 +13,8 @@ from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, beta,
                            cyclotomic_poly, ell_of, laurent_product, qnum,
                            real_beta_power, real_cyclotomic_poly,
                            root_of_unity)
+from dilutetl.diagram_core import all_generators
+from dilutetl.link_modules import LinComb, enumerate_links
 
 settings.register_profile("fixed", derandomize=True, max_examples=60)
 settings.load_profile("fixed")
@@ -157,6 +159,32 @@ def test_ell_of(m, ell):
 def test_beta_generic():
     assert beta() == LaurentPoly({1: 1, -1: 1})
     assert beta(root_of_unity(4)).is_zero()  # q = i gives loop weight zero
+
+
+@pytest.mark.parametrize("m", [None, 5, 6])
+def test_shared_zero_and_one_survive_sums(m):
+    """
+    Each mode hands out one zero and one one; sums of algebra elements and
+    link-state combinations that start from them, or cancel to them, leave
+    them as they were.
+    """
+    mode = GENERIC if m is None else root_of_unity(m)
+    zero, one = mode.zero(), mode.one()
+    fresh = GENERIC if m is None else root_of_unity(m)
+    assert fresh.zero() is zero and fresh.one() is one
+    gens = [g for _lab, g in all_generators(3, mode)]
+    total = gens[0]
+    for g in gens[1:] + [g.scale(mode.const(-1)) for g in gens] + gens:
+        total = total + g
+    assert total.terms == sum(gens[1:], gens[0]).terms
+    assert (total - total).is_zero()
+    states = enumerate_links(3, 1)
+    comb = LinComb(3, mode, {v: one for v in states})
+    assert (comb + comb.scale(mode.const(-1))).is_zero()
+    assert (comb + comb).terms == {v: mode.const(2) for v in states}
+    assert zero.is_zero() and zero == mode.const(0)
+    assert one == mode.const(1) and one * one == one
+    assert zero is mode.zero() and one is mode.one()
 
 
 def test_small_m_rejected():
