@@ -17,23 +17,25 @@ closed loops, or None where the pairing vanishes) and then specialised
 to a mode by beta^loops.  At a primitive m-th root of unity every cell is
 a power of beta = q + q^-1, so the whole block lies in the real subfield
 Q(beta) of degree phi(m)/2, and its rank and nullspace there are those
-over Q(zeta_m).  Nullity and radical come from one echelon over Z[beta] =
-Z[x]/(psi_m) (`ring.real_cyclotomic_poly`) plus back-substitution: one
-fraction-free elimination on integer coordinate lists per dense block and
-m (`_dense_echelon`), whose pivot count is the rank, and whose pivot rows
-give one radical vector per free column, with 1 there and 0 at the other
-free columns.  Every echelon form of a matrix has the same pivot columns,
-the leftmost independent ones, and the null vector with those free values
-is unique, so it is the one the reduced row echelon form over Q(zeta_m)
-gives (`_nullspace_field`, the oracle): the printed basis does not depend
-on the elimination.
+over Q(zeta_m).
 
-The determinant of a dense block is likewise computed once, as a
-polynomial in beta with int coefficients, for every mode
-(`_dense_det_beta`): the loop matrix is evaluated at the integer beta =
-2^B and eliminated by integer Bareiss.  Every entry of the elimination is
-a minor, whose beta-coefficients are at most size! in size, so with
-2^(B-2) > size! its zero tests are exact and the determinant is read back
+One elimination, `_bareiss`, serves determinants, nullities and radicals:
+a sparse fraction-free echelon over Z[x]/(psi) on integer coordinates,
+where a pivot updates only the rows with a nonzero entry in its column,
+each divided exactly by the pivot of the level at which it was last
+updated: every entry is a minor, and coefficients grow only linearly
+(Bareiss, Math. Comp. 22, 1968).  Over Z[beta] = Z[x]/(psi_m) it runs
+once per dense block and m (`_dense_echelon`): the pivot count is the
+rank, and back-substitution gives one radical vector per free column, 1
+there and 0 at the other free columns.  Every echelon form has the same pivot
+columns, the leftmost independent ones, and that null vector is unique,
+so it is the one the reduced row echelon form over Q(zeta_m) gives
+(`_nullspace_field`, the oracle).  The determinant of a dense block, a
+polynomial in beta with int coefficients shared by every mode
+(`_dense_det_beta`), is the signed last pivot of the loop matrix taken at
+the integer beta = 2^B and eliminated over Z, or 0 below full rank.
+Every minor's beta-coefficients are at most size! in size, so with
+2^(B-2) > size! the zero tests are exact and the determinant is read back
 in balanced base 2^B.  The determinant of U(n, k) is the product of the
 generic dense determinants, each raised to the number of blocks it
 fills, multiplied out by the integer kernel `ring.laurent_product` and
@@ -48,7 +50,6 @@ the rows joined into the document) are all built from it.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial, gcd
 
 from .ring import (GENERIC, CycloElem, beta, beta_power, laurent_product,
@@ -209,17 +210,18 @@ def _dense_det_beta(m, k):
     Determinant of the dense (m, k) Gram block as a polynomial in beta: its
     int coefficients, constant term first, the same in every mode.  The
     loop matrix is evaluated at beta = X = 2^B (a cell beta^loops becomes
-    X^loops, a vanishing one 0) and eliminated by integer Bareiss; beta -> X
-    is a ring map Z[beta] -> Z, so each exact division stays exact.  Every
-    Bareiss entry is a minor, a sum of at most size! terms +-beta^j, so its
+    X^loops, a vanishing one 0) and eliminated by `_bareiss` over Z; beta
+    -> X is a ring map Z[beta] -> Z, so each exact division stays exact.
+    Every entry is a minor, a sum of at most size! terms +-beta^j, so its
     coefficients are below 2^(B-2) in size: it vanishes exactly when its
     value at X does, and the determinant is read back digit by digit in
     balanced base X.
     """
     loops = _dense_loops(m, k)
     bits = factorial(len(loops)).bit_length() + 2
-    det = _bareiss_int([[0 if e is None else 1 << (bits * e) for e in row]
-                        for row in loops])
+    echelon, sign = _bareiss([[[0 if e is None else 1 << (bits * e) for e in row]]
+                              for row in loops], (0, 1))
+    det = sign * echelon[-1][1][0][0] if len(echelon) == len(loops) else 0
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     coeffs = []
     while det:
@@ -229,23 +231,6 @@ def _dense_det_beta(m, k):
         coeffs.append(c)
         det = (det - c) >> bits
     return tuple(coeffs)
-
-
-def _bareiss_int(rows):
-    """Determinant of a square int matrix by fraction-free elimination."""
-    sign, prev = 1, 1
-    while len(rows) > 1:
-        piv = next((i for i, row in enumerate(rows) if row[0]), None)
-        if piv is None:
-            return 0  # a zero column
-        if piv:
-            rows[0], rows[piv] = rows[piv], rows[0]
-            sign = -sign
-        p, *ptail = rows[0]
-        rows = [[(a * p - row[0] * b) // prev for a, b in zip(row[1:], ptail)]
-                for row in rows[1:]]
-        prev = p
-    return sign * rows[0][0] if rows else 1
 
 
 @lru_cache(maxsize=None)
@@ -335,49 +320,70 @@ def _nullspace_field(mat, mode):
 def _dense_echelon(occ, k, m):
     """
     A row echelon form over Z[beta] = Z[x]/(psi_m) of the dense (occ, k)
-    Gram block at a primitive m-th root of unity, shared by every mode
-    with that m: its pivot rows, top to bottom, each as (pivot column, d
-    coordinate lists of the cells from that column on), d = phi(m)/2.
-    Sparse fraction-free elimination: a pivot p updates only the rows with
-    a nonzero entry f in its column, as row <- p*row - f*pivot_row, and
-    each updated row is divided by the gcd of its integer coordinates.
-    Both steps are invertible over Q(beta), and psi_m is irreducible, so a
-    cell is zero exactly when its coordinates are; no field inverse and no
-    Fraction is used.  Eliminated columns are dropped from the rows.
+    Gram block at a primitive m-th root of unity, for every mode with that
+    m: the pivot rows of `_bareiss` on the cells' d = phi(m)/2 coordinates,
+    which are all zero exactly when the cell is (psi_m is irreducible).
     """
     psi = real_cyclotomic_poly(m)
     zero = (0,) * (len(psi) - 1)
-    rows = []
-    for row in _dense_loops(occ, k):
-        planes = [list(c) for c in zip(*(zero if e is None else real_beta_power(m, e)
-                                         for e in row))]
-        if any(map(any, planes)):
-            rows.append(planes)
-    echelon, col = [], -1
-    while rows and rows[0][0]:  # a nonzero row and a column are left
+    rows = [[list(c) for c in zip(*(zero if e is None else real_beta_power(m, e) for e in row))]
+            for row in _dense_loops(occ, k)]
+    return tuple(_bareiss(rows, psi)[0])
+
+
+def _bareiss(rows, psi):
+    """
+    Sparse fraction-free echelon over Z[x]/(psi), psi monic of degree d,
+    of rows of d coordinate lists each: the pivot rows, top to bottom, as
+    (pivot column, d coordinate lists of the cells from that column on),
+    and the sign of the order the rows were taken in.  A row last updated
+    at level t (-1: never, p_-1 = 1) becomes (p*row - f*pivot_row) / p_t; a
+    pivot row is first brought to the level before its own by the factor
+    p_(level-1) / p_t.  By Sylvester's identity, telescoped over skipped
+    levels, every stored row is the Bareiss row of its level, so every
+    division is exact.  Zero rows and eliminated columns are dropped.
+    """
+    pivots, table = [], None  # the pivot of each level; the last one's table
+    rows = [(-1, row) for row in rows if any(map(any, row))]
+    echelon, sign, col = [], 1, -1
+    while rows and rows[0][1][0]:  # a nonzero row and a column are left
         col += 1
-        piv = next((i for i, row in enumerate(rows) if any(c[0] for c in row)), None)
+        piv = next((i for i, (_t, row) in enumerate(rows) if any(c[0] for c in row)), None)
         if piv is None:
-            rows = [[c[1:] for c in row] for row in rows]
+            rows = [(t, [c[1:] for c in row]) for t, row in rows]
             continue
-        prow = rows.pop(piv)
+        t, prow = rows.pop(piv)
+        sign = -sign if piv % 2 else sign
+        if t < len(pivots) - 1:
+            prow = _sum_of_products([(table, prow)])
+            if t >= 0:
+                prow = _divide(prow, pivots[t], psi)
         echelon.append((col, prow))
-        p = _times_table(tuple(c[0] for c in prow), psi)
+        pivots.append(tuple(c[0] for c in prow))
+        table = _times_table(pivots[-1], psi)
         ptail = [c[1:] for c in prow]
         kept = []
-        for row in rows:
+        for t, row in rows:
             tail = [c[1:] for c in row]
             f = tuple(-c[0] for c in row)
             if any(f):
-                tail = _sum_of_products([(p, tail), (_times_table(f, psi), ptail)])
-                g = gcd(*chain.from_iterable(tail))
-                if not g:
+                tail = _sum_of_products([(table, tail), (_times_table(f, psi), ptail)])
+                if t >= 0:
+                    tail = _divide(tail, pivots[t], psi)
+                if not any(map(any, tail)):
                     continue  # the row is now zero
-                if g > 1:
-                    tail = [[v // g for v in c] for c in tail]
-            kept.append(tail)
+                t = len(pivots) - 1
+            kept.append((t, tail))
         rows = kept
-    return tuple(echelon)
+    return echelon, sign
+
+
+def _divide(planes, p, psi):
+    """Cells as d coordinate lists divided exactly by p: (a * p*) // D, or a // p at d = 1."""
+    if len(p) == 1:
+        return [[v // p[0] for v in plane] for plane in planes]
+    table, den = _divider(p, psi)
+    return [[v // den for v in plane] for plane in _sum_of_products([(table, planes)])]
 
 
 def _times_table(a, psi):
@@ -404,19 +410,22 @@ def _sum_of_products(terms):
     return out
 
 
-def _inverse(a, psi):
-    """The inverse of a nonzero a in Q[x]/(psi), by solving a*y = 1."""
+@lru_cache(maxsize=None)
+def _divider(a, psi):
+    """
+    (table of a*, D), a* integer and D in Z coprime with a * a* = D, for a
+    nonzero a in Z[x]/(psi): a* = D a^-1 solves a's table against D e_0 by
+    `_bareiss` over Z and back-substitution, each division exact (Cramer).
+    """
     d = len(a)
-    aug = [[Fraction(v) for v in row] + [int(i == 0)]
-           for i, row in enumerate(_times_table(a, psi))]
-    for c in range(d):
-        r = next(i for i in range(c, d) if aug[i][c])
-        aug[c], aug[r] = aug[r], aug[c]
-        aug[c] = [v / aug[c][c] for v in aug[c]]
-        for i in range(d):
-            if i != c and aug[i][c]:
-                aug[i] = [u - aug[i][c] * v for u, v in zip(aug[i], aug[c])]
-    return tuple(row[d] for row in aug)
+    echelon, _sign = _bareiss([[list(row) + [int(i == 0)]]
+                               for i, row in enumerate(_times_table(a, psi))], (0, 1))
+    den, z = echelon[-1][1][0][0], [0] * d
+    for i in reversed(range(d)):
+        row = echelon[i][1][0]
+        z[i] = (den * row[-1] - sum(u * v for u, v in zip(row[1:-1], z[i + 1:]))) // row[0]
+    g = gcd(den, *z)
+    return _times_table(tuple(v // g for v in z), psi), den // g
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +437,7 @@ def _dense_nullspace(occ, k, mode):
     column 0, by back-substitution from the last pivot row up, x_pc =
     -p^-1 * sum(a_c x_c) over Q(beta).  All free columns are solved side
     by side, each x_c a list of d coordinate lists with one entry per
-    vector; each pivot's inverse is taken once.  The vectors are those of
+    vector; -p^-1 is (-p)* / D (`_divider`).  The vectors are those of
     `_nullspace_field` (see the module docstring).
     """
     echelon = _dense_echelon(occ, k, mode.m)
@@ -444,8 +453,9 @@ def _dense_nullspace(occ, k, mode):
         cells = list(zip(*planes))
         terms = [(_times_table(a, psi), x[pc + c]) for c, a in enumerate(cells)
                  if c and any(a)]
-        inv = _inverse(tuple(-v for v in cells[0]), psi)
-        x[pc] = (_sum_of_products([(_times_table(inv, psi), _sum_of_products(terms))])
+        table, den = _divider(tuple(-v for v in cells[0]), psi)
+        x[pc] = ([[Fraction(v, den) for v in plane]
+                  for plane in _sum_of_products([(table, _sum_of_products(terms))])]
                  if terms else [[0] * len(free) for _ in psi[1:]])
     reps = [beta_power(mode, j).rep for j in range(len(psi) - 1)]
     made = {}

@@ -14,6 +14,7 @@ pattern as an int mask (`vac`, compared with a diagram's `east`), and
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .ring import GENERIC, beta_power
@@ -169,43 +170,28 @@ class LinComb:
 def enumerate_links(n, k):
     """
     All link states on n sites with exactly k defects, ordered by vacancy
-    count ascending, then vacancy positions, then site pattern.
+    count ascending, then vacancy positions, then site pattern: for each
+    vacancy set, in the order of `itertools.combinations`, the dense
+    states on the sites left occupied.
     """
-    if not 0 <= k <= n:
-        return ()
     out = []
-
-    def build(sites, open_stack, defects_left):
-        i = len(sites)
-        if i == n:
-            if not open_stack and defects_left == 0:
+    for v in range(n + 1):
+        dense = enumerate_dense_links(n - v, k)
+        for vac in combinations(range(n), v) if dense else ():
+            occupied = [i for i in range(n) if i not in vac]
+            for state in dense:
+                sites = ["V"] * n
+                for i, s in zip(occupied, state.sites):
+                    sites[i] = s if s == "D" else occupied[s]
                 out.append(LinkState(sites))
-            return
-        remaining = n - i
-        if len(open_stack) + defects_left > remaining:
-            return
-        build(sites + ["V"], open_stack, defects_left)
-        if defects_left and not open_stack:
-            # a defect below an open arc would cross it when straightened
-            build(sites + ["D"], open_stack, defects_left - 1)
-        build(sites + [None], open_stack + [i], defects_left)
-        if open_stack:
-            j = open_stack[-1]
-            closed = sites + [j]
-            closed[j] = i
-            build(closed, open_stack[:-1], defects_left)
-
-    build([], [], k)
-    out.sort(key=LinkState.sort_key)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def enumerate_dense_links(n, k):
     """
-    The link states on n sites with k defects and no vacancy, in the order
-    enumerate_links keeps them (by text(): '(' < ')' < 'D'), built
-    directly instead of filtered from every dilute state.
+    The link states on n sites with k defects and no vacancy, ordered by
+    text() ('(' < ')' < 'D').
     """
     if not 0 <= k <= n or (n - k) % 2:
         return ()

@@ -297,23 +297,31 @@ def _poly_divmod(a, b):
     return q, a
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_poly(m):
     """
     The m-th cyclotomic polynomial as a dense list of integer coefficients
-    (constant term first), built by dividing x^m - 1 by the cyclotomic
-    polynomials of all proper divisors of m.
+    (constant term first), memoised and shared: callers do not change it.
+    Built from Phi_1 = x - 1 by Phi_(rp)(x) = Phi_r(x^p) / Phi_r(x), one
+    prime p of m at a time, then Phi_m(x) = Phi_rad(x^(m/rad)).
     """
     if m < 1:
         raise ValueError("cyclotomic polynomial of order %r" % (m,))
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = _poly_divmod(num, cyclotomic_poly(d))
+    phi, rad = [-1, 1], 1
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % r for r in range(2, p)):
+            q, r = _poly_divmod(_spread(phi, p), phi)
             if any(r):
-                raise ArithmeticError("Phi_%d does not divide x^%d - 1" % (d, m))
-            num = q
-    return num
+                raise ArithmeticError("Phi_%d(x) does not divide Phi_%d(x^%d)" % (rad, rad, p))
+            phi, rad = q, rad * p
+    return _spread(phi, m // rad)
+
+
+def _spread(a, s):
+    """The dense polynomial a(x^s)."""
+    out = [0] * (s * (len(a) - 1) + 1)
+    out[::s] = a
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -409,21 +417,13 @@ class CycloElem:
     """
 
     __slots__ = ("m", "rep")
-    _phi_cache = {}
 
     def __init__(self, m, rep):
         if m < 3:
             raise ValueError("m in {1,2} is rejected; q = +-1 is not a supported root mode")
         self.m = m
-        phi = CycloElem.phi(m)
-        dense = _poly_mod(list(rep), phi)
+        dense = _poly_mod(list(rep), cyclotomic_poly(m))
         self.rep = tuple(_norm(v) for v in dense)
-
-    @staticmethod
-    def phi(m):
-        if m not in CycloElem._phi_cache:
-            CycloElem._phi_cache[m] = cyclotomic_poly(m)
-        return CycloElem._phi_cache[m]
 
     @staticmethod
     def zero(m):
@@ -509,8 +509,7 @@ class CycloElem:
         """Multiplicative inverse; the quotient ring is a field."""
         if self.is_zero():
             raise ZeroDivisionError("zero is not invertible")
-        phi = CycloElem.phi(self.m)
-        g, s, _ = _poly_ext_gcd(list(self.rep), phi)
+        g, s, _ = _poly_ext_gcd(list(self.rep), cyclotomic_poly(self.m))
         if len(g) != 1 or not g[0]:
             raise ArithmeticError("gcd %r with Phi_%d is not a unit" % (g, self.m))
         c = g[0]

@@ -17,7 +17,7 @@ from .diagram_core import (AlgebraElem, all_generators, identity, transpose,
                            reduce_mod_ideal, crossing_count)
 from .link_modules import (enumerate_links, dim_standard, act, LinComb,
                            diagram_from_links, links_of_diagram)
-from .gram import gram_product, gram_nullity, dim_irreducible_formula
+from .gram import gram_product, gram_nullity
 from .tl_reference import is_critical
 
 
@@ -338,7 +338,8 @@ def restriction_induction_report(n, ell):
 def structure_report(n, mode):
     """
     Full per-size record: rows of dimensions and classifications, the two
-    matrices, and the outcome of the global consistency checks.
+    matrices, and the outcome of the global consistency checks; dimR is the
+    Gram nullity, independent of the recurrence that gives dimL.
     """
     rows = []
     checks = []
@@ -364,8 +365,8 @@ def structure_report(n, mode):
         u = dim_standard(n, k)
         l = dim_irr(n, k, ell)
         info = pair_info(k, ell, n)
-        rows.append({"k": k, "dimU": u, "dimR": u - l, "dimL": l,
-                     "dimP": pdims[k], "critical": info["critical"],
+        rows.append({"k": k, "dimU": u, "dimR": gram_nullity(n, k, mode),
+                     "dimL": l, "dimP": pdims[k], "critical": info["critical"],
                      "pair": {"k_minus": info["k_minus"],
                               "k_plus": info["k_plus"],
                               "k_minus_in_range": info["k_minus_in_range"],

@@ -83,6 +83,25 @@ def test_irr_nullity_up_to_n_max(m):
     assert json.loads(res.output)["mismatches"] == []
 
 
+@pytest.mark.parametrize("m", [5, 7])
+def test_irr_nullity_at_nine_sites(m):
+    """
+    The nullity cross-check on 9 sites at an m with phi(m)/2 = 2 or 3,
+    where a Z[beta] echelon without exact division lets its coefficients
+    grow with every pivot; run as a process with a timeout, so a relapse
+    fails instead of stalling.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-m", "dilutetl.cli", "irr", "--n-max", "9",
+                          "--root-of-unity", str(m), "--nullity-n-max", "9",
+                          "--format", "json"], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["mismatches"] == []
+
+
 def test_irr_invalid_m():
     res = _run(["irr", "--n-max", "4", "--root-of-unity", "2"])
     assert res.exit_code != 0
