@@ -35,7 +35,9 @@ from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 DEFAULT_DET_CAP = 5
 DEFAULT_TABLE_CAP = 12
-MAX_ROOT_ORDER = 1000  # Phi_m is built by recursive division, slow past this
+# near the cap a Gram block already takes seconds: at m = 997 (d = 498 coordinates
+# of beta) `gram --n 6 --k 0` spends 3-4 s in elimination and CycloElem products
+MAX_ROOT_ORDER = 1000
 
 
 @lru_cache(maxsize=None)

@@ -211,8 +211,12 @@ def check_compatible(a, b):
                          % (a.n, b.n, a.mode, b.mode))
 
 
-class AlgebraElem:
-    """A finite linear combination of same-size diagrams with ring coefficients."""
+class Combination:
+    """
+    A finite linear combination of same-size terms (diagrams or link
+    states) with ring coefficients, as a dict from term to nonzero
+    coefficient; every result is built as the operand's own class.
+    """
 
     __slots__ = ("n", "mode", "terms")
 
@@ -221,18 +225,12 @@ class AlgebraElem:
         self.mode = mode
         self.terms = {}
         if terms:
-            for d, c in terms.items():
+            for key, c in terms.items():
                 if c:
-                    if d.n != n:
-                        raise ValueError("diagram on %d sites in an element on %d"
-                                         % (d.n, n))
-                    self.terms[d] = c
-
-    @staticmethod
-    def from_diagram(d, mode=GENERIC, coeff=None):
-        if coeff is None:
-            coeff = mode.one()
-        return AlgebraElem(d.n, mode, {d: coeff})
+                    if key.n != n:
+                        raise ValueError("%s on %d sites in a combination on %d"
+                                         % (self._show(key), key.n, n))
+                    self.terms[key] = c
 
     def is_zero(self):
         return not self.terms
@@ -240,19 +238,45 @@ class AlgebraElem:
     def __add__(self, other):
         check_compatible(self, other)
         t = dict(self.terms)
-        for d, c in other.terms.items():
-            w = t.get(d, self.mode.zero()) + c
+        for key, c in other.terms.items():
+            w = t.get(key, self.mode.zero()) + c
             if w:
-                t[d] = w
+                t[key] = w
             else:
-                t.pop(d, None)
-        return AlgebraElem(self.n, self.mode, t)
+                t.pop(key, None)
+        return type(self)(self.n, self.mode, t)
 
     def __sub__(self, other):
         return self + other.scale(self.mode.const(-1))
 
     def scale(self, c):
-        return AlgebraElem(self.n, self.mode, {d: v * c for d, v in self.terms.items()})
+        return type(self)(self.n, self.mode, {key: v * c for key, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.n == other.n
+                and self.mode == other.mode and self.terms == other.terms)
+
+    def __repr__(self):
+        if not self.terms:
+            return "%s(0, n=%d)" % (type(self).__name__, self.n)
+        items = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        return " + ".join("(%s)*%s" % (c, self._show(key)) for key, c in items)
+
+
+class AlgebraElem(Combination):
+    """A finite linear combination of same-size diagrams with ring coefficients."""
+
+    __slots__ = ()
+    _show = repr
+    # bound here too: perfbench/tracer.py wraps them from this class's own __dict__
+    __add__ = Combination.__add__
+    scale = Combination.scale
+
+    @staticmethod
+    def from_diagram(d, mode=GENERIC, coeff=None):
+        if coeff is None:
+            coeff = mode.one()
+        return AlgebraElem(d.n, mode, {d: coeff})
 
     def __mul__(self, other):
         """
@@ -282,27 +306,13 @@ class AlgebraElem:
                     acc.pop(d, None)
         return AlgebraElem(self.n, self.mode, acc)
 
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElem) and self.n == other.n
-                and self.mode == other.mode and self.terms == other.terms)
-
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "AlgebraElem(0, n=%d)" % self.n
-        items = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-        return " + ".join("(%s)*%r" % (c, d) for d, c in items)
 
 
 def identity(n, mode=GENERIC):
     """The unit: the sum of 2^n diagrams (string or vacancy pair per site)."""
-    terms = {}
-    for mask in range(1 << n):
-        pairs = [(s, 2 * n - 1 - s) for s in range(n) if mask >> s & 1]
-        terms[DiluteDiagram.from_pairs(n, pairs)] = mode.one()
-    return AlgebraElem(n, mode, terms)
+    return _dashed_sum(n, [], [], range(1, n + 1), mode)
 
 
 def _dashed_sum(n, fixed_pairs, fixed_vacant_sites, dashed_sites, mode):
@@ -405,26 +415,18 @@ def projector_pi(z, mode=GENERIC):
     return AlgebraElem.from_diagram(d, mode)
 
 
-_ENUM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _noncrossing_matchings(points):
-    """All non-crossing partial matchings of the given ordered points."""
-    points = tuple(points)
-    if points in _ENUM_CACHE:
-        return _ENUM_CACHE[points]
+    """All non-crossing partial matchings of a tuple of ordered points, as tuples of pairs."""
     if not points:
-        return [[]]
+        return ((),)
     first, rest = points[0], points[1:]
-    out = [list(m) for m in _noncrossing_matchings(rest)]
+    out = list(_noncrossing_matchings(rest))
     for j, p in enumerate(rest):
-        inside = rest[:j]
-        outside = rest[j + 1:]
-        for m1 in _noncrossing_matchings(inside):
-            for m2 in _noncrossing_matchings(outside):
-                out.append([(first, p)] + list(m1) + list(m2))
-    _ENUM_CACHE[points] = out
-    return out
+        for m1 in _noncrossing_matchings(rest[:j]):
+            for m2 in _noncrossing_matchings(rest[j + 1:]):
+                out.append(((first, p),) + m1 + m2)
+    return tuple(out)
 
 
 DEFAULT_ENUM_CAP = 6
@@ -439,6 +441,6 @@ def enumerate_diagrams(n, cap=DEFAULT_ENUM_CAP):
     if n > cap:
         raise ResourceWarning("diagram enumeration capped at n=%d (asked n=%d)" % (cap, n))
     diagrams = [DiluteDiagram.from_pairs(n, m)
-                for m in _noncrossing_matchings(range(2 * n))]
+                for m in _noncrossing_matchings(tuple(range(2 * n)))]
     diagrams.sort(key=DiluteDiagram.sort_key)
     return diagrams

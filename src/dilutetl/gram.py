@@ -127,7 +127,7 @@ def block_rows(n, k, mode, radical=False, cell=None):
     distinct dense block and once for the zero (the command line renders
     its output this way).
     """
-    dense = _dense_nullspace if radical else _dense_block
+    dense = _dense_nullspace if radical else tl_gram_matrix
     zero = mode.zero()
     if cell is not None:
         zero = cell(zero)
@@ -176,11 +176,15 @@ def _bareiss_det(mat, mode=GENERIC):
     return det if sign == 1 else -det
 
 
+@lru_cache(maxsize=None)
 def tl_gram_matrix(m, k, mode=GENERIC):
-    """Gram matrix of the dense algebra: states without vacancies."""
+    """
+    Gram matrix of the dense algebra, on the states without vacancies, as
+    a tuple of row tuples, built once.
+    """
     zero = mode.zero()
-    return [[zero if loops is None else beta_power(mode, loops) for loops in row]
-            for row in _dense_loops(m, k)]
+    return tuple(tuple(zero if loops is None else beta_power(mode, loops) for loops in row)
+                 for row in _dense_loops(m, k))
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +200,6 @@ def _dense_loops(m, k):
         for j in range(i, len(basis)):
             rows[i][j] = rows[j][i] = _pair_loops(u, basis[j])
     return tuple(map(tuple, rows))
-
-
-@lru_cache(maxsize=None)
-def _dense_block(m, k, mode):
-    """The dense (m, k) Gram matrix as a tuple of row tuples, built once."""
-    return tuple(tuple(row) for row in tl_gram_matrix(m, k, mode))
 
 
 @lru_cache(maxsize=None)

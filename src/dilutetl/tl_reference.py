@@ -29,23 +29,21 @@ def dim_v(n, k):
     return comb(n, h) - (comb(n, h - 1) if h >= 1 else 0)
 
 
-def det_gram_tl(n, k, mode=GENERIC):
+def det_gram_tl(n, k):
     """
-    Closed form for the dense Gram determinant on (n, k): a product of
-    quantum-number ratios with multiplicities given by standard-module
-    dimensions.  The ratio product is a genuine Laurent polynomial; the
-    division is exact.
+    Closed form for the dense Gram determinant on (n, k) in the generic
+    ring: a product of quantum-number ratios with multiplicities given by
+    standard-module dimensions.  The ratio product is a genuine Laurent
+    polynomial; the division is exact.
     """
     if dim_v(n, k) == 0:
         raise ValueError("empty module")
-    if mode.kind != "generic":
-        raise ValueError("closed form is computed in the generic ring")
-    num = mode.one()
-    den = mode.one()
+    num = GENERIC.one()
+    den = GENERIC.one()
     for j in range(1, (n - k) // 2 + 1):
         e = dim_v(n, k + 2 * j)
-        num = num * qnum(k + j + 1, mode) ** e
-        den = den * qnum(j, mode) ** e
+        num = num * qnum(k + j + 1) ** e
+        den = den * qnum(j) ** e
     return num.exact_div(den)
 
 

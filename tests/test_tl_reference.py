@@ -39,8 +39,6 @@ def test_det_gram_tl_vs_direct(n):
 def test_det_gram_tl_guards():
     with pytest.raises(ValueError):
         det_gram_tl(3, 0)  # parity mismatch: empty module
-    with pytest.raises(ValueError):
-        det_gram_tl(4, 2, root_of_unity(6))
 
 
 def test_is_critical():
