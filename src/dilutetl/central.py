@@ -23,8 +23,8 @@ the cut ends are open; states that coincide are merged.  Each state
 carries integer counts per (exponent of sqrt(q), closed loops), the sign
 folded into the count.  The bottom cup then joins the two open slots or
 closes one more loop.  None of this depends on the coefficient ring, so
-it is built once per n; each mode only sums count * q^(e/2) * beta^loops
-per diagram.
+it is built once per n; the generic element sums count * q^(e/2) *
+beta^loops per diagram, and every other mode specialises its coefficients.
 
 The element commutes with the whole algebra and acts on the k-defect
 standard module by the scalar q^(k+1) + q^-(k+1).
@@ -133,15 +133,19 @@ def build_F(n, mode=GENERIC):
     """
     The central element on n sites, expanded into diagrams.  Memoised per
     (n, mode): callers get a shared element and must not change its terms.
+    A root-of-unity element specialises the generic one.
     """
     if n < 1:
         raise ValueError("the tile assembly needs n >= 1, not %d" % n)
+    if mode != GENERIC:
+        return AlgebraElem(n, mode, {d: mode.convert(c)
+                                     for d, c in build_F(n).terms.items()})
     terms = {}
     for d, by_loops in _row_transfer(n):
         coeff = LaurentPoly.zero()
         for loops, by_q in by_loops.items():
             coeff = coeff + LaurentPoly(by_q) * beta_power(GENERIC, loops)
-        terms[d] = mode.convert(coeff)
+        terms[d] = coeff
     return AlgebraElem(n, mode, terms)
 
 

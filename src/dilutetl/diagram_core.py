@@ -17,6 +17,13 @@ and a product of elements glues only the pairs whose masks agree.
 glue() is the one routine that follows strings: the product, the action
 on link states, the bilinear form and the tile-built central element each
 number their nodes, call it and read off the result.
+
+What a glued pair gives, its loop count and result, does not depend on
+the coefficient ring.  So the product of two diagrams is memoised per
+pair (and the action of a diagram on a link state in link_modules), in a
+memo of GLUE_MEMO_SIZE entries shared by every mode and every caller.  A glued result is
+built without re-validation: its pairing is planar by construction and
+its masks are the outer sides' masks.
 """
 
 from functools import lru_cache
@@ -26,6 +33,10 @@ from .ring import GENERIC, beta_power
 
 VACANT = None
 DEFECT = -2  # glue() input: a string stops at this node
+# Entries in each glue memo (products here, actions in link_modules).  An
+# entry took 360-390 bytes at n = 4 and n = 7 under tracemalloc, so a full
+# memo holds under 7 MiB.
+GLUE_MEMO_SIZE = 1 << 14
 
 
 class DiluteDiagram:
@@ -60,10 +71,23 @@ class DiluteDiagram:
         self.west = west
         self.east = east
 
+    @classmethod
+    def _glued(cls, n, pairing, west, east):
+        """A diagram from a planar pairing tuple and its masks, unchecked."""
+        d = object.__new__(cls)
+        d.n = n
+        d.pairing = pairing
+        d.west = west
+        d.east = east
+        return d
+
     @staticmethod
     def from_pairs(n, pairs):
-        pairing = [VACANT] * (2 * n)
+        size = 2 * n
+        pairing = [VACANT] * size
         for a, b in pairs:
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError("slot pair (%r, %r) outside 0..%d" % (a, b, size - 1))
             pairing[a] = b
             pairing[b] = a
         return DiluteDiagram(n, pairing)
@@ -182,11 +206,13 @@ def product_seam(n):
             + tuple(size - 1 - t for t in range(n)) + (-1,) * n)
 
 
+@lru_cache(maxsize=GLUE_MEMO_SIZE)
 def multiply_diagrams_raw(a, b):
     """
     Concatenate two diagrams (a on the left).  Returns (loops, diagram) with
     the number of closed floating loops, or (0, None) when the product is
-    zero because a string meets a vacancy at the glued boundary.
+    zero because a string meets a vacancy at the glued boundary.  Memoised
+    per pair; __wrapped__ glues afresh.
     """
     if a.n != b.n:
         raise ValueError("diagram sizes differ: %d and %d" % (a.n, b.n))
@@ -198,7 +224,7 @@ def multiply_diagrams_raw(a, b):
     pairing = [VACANT] * size
     for e, o in ends.items():
         pairing[e if e < n else e - size] = o if o < n else o - size
-    return loops, DiluteDiagram(n, pairing)
+    return loops, DiluteDiagram._glued(n, tuple(pairing), a.west, b.east)
 
 
 def check_compatible(a, b):
@@ -231,6 +257,15 @@ class Combination:
                         raise ValueError("%s on %d sites in a combination on %d"
                                          % (self._show(key), key.n, n))
                     self.terms[key] = c
+
+    @classmethod
+    def _of(cls, n, mode, terms):
+        """A combination over a dict of nonzero coefficients on n-site terms, unchecked."""
+        out = object.__new__(cls)
+        out.n = n
+        out.mode = mode
+        out.terms = terms
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -285,6 +320,8 @@ class AlgebraElem(Combination):
         pairs whose product does not vanish.
         """
         check_compatible(self, other)
+        mode = self.mode
+        one = mode.one()
         by_west = {}
         for d2, c2 in other.terms.items():
             by_west.setdefault(d2.west, []).append((d2, c2))
@@ -295,16 +332,16 @@ class AlgebraElem(Combination):
                 continue
             for d2, c2 in group:
                 loops, d = multiply_diagrams_raw(d1, d2)
-                c = c1 * c2
+                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 if loops:
-                    c = c * beta_power(self.mode, loops)
+                    c = c * beta_power(mode, loops)
                 if d in acc:
                     c = acc[d] + c
                 if c:
                     acc[d] = c
                 else:
                     acc.pop(d, None)
-        return AlgebraElem(self.n, self.mode, acc)
+        return AlgebraElem._of(self.n, mode, acc)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -312,13 +349,13 @@ class AlgebraElem(Combination):
 
 def identity(n, mode=GENERIC):
     """The unit: the sum of 2^n diagrams (string or vacancy pair per site)."""
-    return _dashed_sum(n, [], [], range(1, n + 1), mode)
+    return _dashed_sum(n, [], range(1, n + 1), mode)
 
 
-def _dashed_sum(n, fixed_pairs, fixed_vacant_sites, dashed_sites, mode):
+def _dashed_sum(n, fixed_pairs, dashed_sites, mode):
     """
-    Element with the given fixed pairs/vacancies, summing each dashed site
-    over (through-string + vacancy pair).
+    Element with the given fixed pairs, summing each dashed site over
+    (through-string + vacancy pair); every other slot is vacant.
     """
     terms = {}
     dashed = sorted(dashed_sites)
@@ -348,22 +385,22 @@ def generator(name, i, n, mode=GENERIC):
             raise IndexError("site index out of range")
         others = [s for s in range(1, n + 1) if s != i]
         if name == "e":
-            return _dashed_sum(n, [(lslot(i), rslot(i))], [], others, mode)
-        return _dashed_sum(n, [], [i], others, mode)
+            return _dashed_sum(n, [(lslot(i), rslot(i))], others, mode)
+        return _dashed_sum(n, [], others, mode)
 
     if not 1 <= i <= n - 1:
         raise IndexError("site index out of range")
     others = [s for s in range(1, n + 1) if s not in (i, i + 1)]
     if name == "a":
         # string from left site i+1 to right site i; vacancies left i, right i+1
-        return _dashed_sum(n, [(lslot(i + 1), rslot(i))], [i, i + 1], others, mode)
+        return _dashed_sum(n, [(lslot(i + 1), rslot(i))], others, mode)
     if name == "at":
-        return _dashed_sum(n, [(lslot(i), rslot(i + 1))], [i, i + 1], others, mode)
+        return _dashed_sum(n, [(lslot(i), rslot(i + 1))], others, mode)
     if name == "bt":
         # arc on the left side joining sites i and i+1; right side vacant there
-        return _dashed_sum(n, [(lslot(i), lslot(i + 1))], [i, i + 1], others, mode)
+        return _dashed_sum(n, [(lslot(i), lslot(i + 1))], others, mode)
     if name == "b":
-        return _dashed_sum(n, [(rslot(i), rslot(i + 1))], [i, i + 1], others, mode)
+        return _dashed_sum(n, [(rslot(i), rslot(i + 1))], others, mode)
     raise ValueError("unknown generator %r" % name)
 
 
@@ -394,8 +431,8 @@ def parity_split(a):
 
 def reduce_mod_ideal(a, k):
     """Keep only the terms with at least k crossing strings."""
-    return AlgebraElem(a.n, a.mode,
-                       {d: c for d, c in a.terms.items() if crossing_count(d) >= k})
+    return AlgebraElem._of(a.n, a.mode,
+                           {d: c for d, c in a.terms.items() if crossing_count(d) >= k})
 
 
 def projector_pi(z, mode=GENERIC):

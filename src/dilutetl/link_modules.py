@@ -10,7 +10,8 @@ defects.  In the standard-module action, resulting states with fewer than
 k defects are dropped.  A diagram acts on a state only if its right side
 is vacant exactly where the state is: each state carries its vacancy
 pattern as an int mask (`vac`, compared with a diagram's `east`), and
-`act` glues only the pairs whose masks agree.
+`act` glues only the pairs whose masks agree.  The glued state and loop
+count of a (diagram, state) pair are memoised, ring-free, like products.
 """
 
 from functools import lru_cache
@@ -18,8 +19,8 @@ from itertools import combinations
 from math import comb
 
 from .ring import GENERIC, beta_power
-from .diagram_core import (DEFECT, VACANT, Combination, DiluteDiagram, check_compatible,
-                           product_seam, slot_nodes, glue)
+from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, Combination, DiluteDiagram,
+                           check_compatible, product_seam, slot_nodes, glue)
 from .tl_reference import dim_v
 
 
@@ -56,6 +57,15 @@ class LinkState:
         self.n = n
         self.sites = sites
         self.vac = vac
+
+    @classmethod
+    def _glued(cls, sites, vac):
+        """A state from a planar sites tuple and its vacancy mask, unchecked."""
+        v = object.__new__(cls)
+        v.n = len(sites)
+        v.sites = sites
+        v.vac = vac
+        return v
 
     def defect_count(self):
         return self.sites.count("D")
@@ -211,17 +221,19 @@ def site_nodes(v, offset=0):
     return [-1 if s == "V" else DEFECT if s == "D" else s + offset for s in v.sites]
 
 
-def act_diagram(d, v, mode=GENERIC, quotient_k=None):
+@lru_cache(maxsize=GLUE_MEMO_SIZE)
+def act_diagram_raw(d, v):
     """
-    Act with a single diagram on a single link state.  Returns a LinComb.
-    Strings joining two defects are removed; with quotient_k set, output
-    states with fewer than quotient_k defects are dropped.
+    Glue a diagram to the left of a link state.  Returns (loops, state)
+    with the number of closed loops, or (0, None) when a string meets a
+    vacancy where the two are glued.  Strings joining two defects are
+    removed.  Memoised per pair; __wrapped__ glues afresh.
     """
     n = d.n
     if v.n != n:
         raise ValueError("diagram on %d sites, state on %d" % (n, v.n))
-    if d.east != v.vac:  # a string meets a vacancy where the two are glued
-        return LinComb(n, mode)
+    if d.east != v.vac:
+        return 0, None
     size = 2 * n
     # nodes: the diagram's slots, then the link sites where a right-hand
     # factor's left slots would be, so the product's seam serves
@@ -230,10 +242,19 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     for e, o in ends.items():
         if e < n:
             new_sites[e] = o if o < n else "D"
-    out_state = LinkState(new_sites)
-    if quotient_k is not None and out_state.defect_count() < quotient_k:
-        return LinComb(n, mode)
-    return LinComb(n, mode, {out_state: beta_power(mode, loops)})
+    return loops, LinkState._glued(tuple(new_sites), d.west)
+
+
+def act_diagram(d, v, mode=GENERIC, quotient_k=None):
+    """
+    Act with a single diagram on a single link state.  Returns a LinComb.
+    With quotient_k set, output states with fewer than quotient_k defects
+    are dropped.
+    """
+    loops, w = act_diagram_raw(d, v)
+    if w is None or (quotient_k is not None and w.defect_count() < quotient_k):
+        return LinComb(d.n, mode)
+    return LinComb(d.n, mode, {w: beta_power(mode, loops)})
 
 
 def act(u, v, quotient_k=None):
@@ -247,6 +268,7 @@ def act(u, v, quotient_k=None):
     if isinstance(v, LinkState):
         v = LinComb.from_state(v, mode)
     check_compatible(u, v)
+    one = mode.one()
     by_vac = {}
     for s, cs in v.terms.items():
         by_vac.setdefault(s.vac, []).append((s, cs))
@@ -256,15 +278,19 @@ def act(u, v, quotient_k=None):
         if group is None:
             continue
         for s, cs in group:
-            for w, x in act_diagram(d, s, mode, quotient_k).terms.items():
-                c = x * (cd * cs)
-                if w in acc:
-                    c = acc[w] + c
-                if c:
-                    acc[w] = c
-                else:
-                    acc.pop(w, None)
-    return LinComb(u.n, mode, acc)
+            loops, w = act_diagram_raw(d, s)
+            if quotient_k is not None and w.defect_count() < quotient_k:
+                continue
+            c = cs if cd is one else cd if cs is one else cd * cs
+            if loops:
+                c = beta_power(mode, loops) * c
+            if w in acc:
+                c = acc[w] + c
+            if c:
+                acc[w] = c
+            else:
+                acc.pop(w, None)
+    return LinComb._of(u.n, mode, acc)
 
 
 def diagram_from_links(x, y):

@@ -10,7 +10,7 @@ from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, glue,
                                    multiply_diagrams_raw)
 from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
                            gram_matrix, radical_basis, tl_gram_matrix)
-from dilutetl.link_modules import LinComb, LinkState, act_diagram, dim_standard
+from dilutetl.link_modules import LinComb, LinkState, act_diagram_raw, dim_standard
 from dilutetl.central import (ROW_OPTIONS, _LEFT_WEIGHT, _RIGHT_WEIGHT,
                               _TILE_INNER)
 
@@ -80,13 +80,14 @@ def embed_bottom(elem):
 def mul_fold(a, b):
     """
     The product of two algebra elements over every pair of terms, the
-    vanishing ones included: the oracle of `AlgebraElem.__mul__`, which
-    glues only the pairs whose vacancy masks match.
+    vanishing ones included, each glued afresh: the oracle of
+    `AlgebraElem.__mul__`, which glues only the pairs whose vacancy masks
+    match and reads the product memo.
     """
     acc = {}
     for d1, c1 in a.terms.items():
         for d2, c2 in b.terms.items():
-            loops, d = multiply_diagrams_raw(d1, d2)
+            loops, d = multiply_diagrams_raw.__wrapped__(d1, d2)
             if d is None:
                 continue
             c = c1 * c2 * beta_power(a.mode, loops)
@@ -100,15 +101,20 @@ def mul_fold(a, b):
 
 def act_fold(u, v, quotient_k=None):
     """
-    The diagram action extended term by term, each term added to a fresh
-    combination: the oracle of `link_modules.act`, which sums into one dict.
+    The diagram action extended term by term, each pair glued afresh and
+    added to a fresh combination: the oracle of `link_modules.act`, which
+    reads the action memo and sums into one dict.
     """
     if isinstance(v, LinkState):
         v = LinComb.from_state(v, u.mode)
     out = LinComb(u.n, u.mode)
     for d, cd in u.terms.items():
         for s, cs in v.terms.items():
-            out = out + act_diagram(d, s, u.mode, quotient_k).scale(cd * cs)
+            loops, w = act_diagram_raw.__wrapped__(d, s)
+            if w is None or (quotient_k is not None and w.defect_count() < quotient_k):
+                continue
+            c = beta_power(u.mode, loops) * cd * cs
+            out = out + LinComb(u.n, u.mode, {w: c})
     return out
 
 

@@ -52,6 +52,33 @@ def test_crossing_pairs_rejected():
         DiluteDiagram(1, (1, 4))  # partner out of range
 
 
+@pytest.mark.parametrize("pairs", [[(0, 7)], [(0, -1)], [(4, 0)]])
+def test_slots_out_of_range_rejected(pairs):
+    with pytest.raises(ValueError, match="outside"):
+        DiluteDiagram.from_pairs(2, pairs)
+    with pytest.raises(ValueError, match="outside"):
+        DiluteDiagram.from_json_dict({"n": 2, "pairs": [list(p) for p in pairs]})
+
+
+def test_memoised_products_match_fresh_validated_glue():
+    """
+    Every pair of diagrams at n <= 3: the memoised product equals a fresh
+    glue, and its unchecked result passes the validating constructor
+    with the same masks.
+    """
+    for n in (1, 2, 3):
+        diagrams = enumerate_diagrams(n)
+        for a in diagrams:
+            for b in diagrams:
+                loops, d = multiply_diagrams_raw(a, b)
+                assert (loops, d) == multiply_diagrams_raw.__wrapped__(a, b)
+                if d is None:
+                    assert a.east != b.west
+                    continue
+                checked = DiluteDiagram(n, d.pairing)
+                assert (d.west, d.east) == (checked.west, checked.east) == (a.west, b.east)
+
+
 def test_malformed_input_raises_under_optimize():
     # the checks must not be asserts, which python -O strips
     # the internal checks are made to fail by breaking one side of a

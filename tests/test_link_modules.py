@@ -10,8 +10,10 @@ from helpers import act_fold, frac_rank
 from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
 from dilutetl.central import build_F
 from dilutetl.diagram_core import (AlgebraElem, all_generators,
-                                   enumerate_diagrams, identity, transpose)
+                                   enumerate_diagrams, identity,
+                                   multiply_diagrams_raw, transpose)
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
+                                   act_diagram_raw,
                                    base_vd_state, diagram_from_links,
                                    dim_standard, enumerate_dense_links,
                                    enumerate_links,
@@ -222,3 +224,46 @@ def test_act_matches_term_fold(mode):
                 for v in (*states, mix):
                     for qk in (None, k):
                         assert act(u, v, qk) == act_fold(u, v, qk), (n, k, u, v, qk)
+
+
+def test_memoised_actions_match_fresh_validated_glue():
+    """
+    Every diagram on every link state at n <= 3: the memoised action
+    equals a fresh glue, and its unchecked state passes the validating
+    constructor with the same vacancy mask.
+    """
+    for n in (1, 2, 3):
+        states = [v for k in range(n + 1) for v in enumerate_links(n, k)]
+        for d in enumerate_diagrams(n):
+            for v in states:
+                loops, w = act_diagram_raw(d, v)
+                assert (loops, w) == act_diagram_raw.__wrapped__(d, v)
+                if w is None:
+                    assert d.east != v.vac
+                    continue
+                assert w.n == n and LinkState(w.sites).vac == w.vac == d.west
+
+
+def test_glue_memos_are_shared_across_modes():
+    """
+    The product and action memos hold ring-free results: m = 6 products
+    and actions read from memos that GENERIC filled equal those computed
+    after the memos are cleared.
+    """
+    m6 = root_of_unity(6)
+
+    def results(mode):
+        out = []
+        for n in range(1, 5):
+            f = build_F(n, mode)
+            gens = [g for _label, g in all_generators(n, mode)]
+            out += [f * g for g in gens] + [g * f for g in gens] + [g * g for g in gens]
+            for k in range(n + 1):
+                out += [act(u, v, k) for u in [f] + gens for v in enumerate_links(n, k)]
+        return out
+
+    results(GENERIC)
+    warm = results(m6)
+    multiply_diagrams_raw.cache_clear()
+    act_diagram_raw.cache_clear()
+    assert results(m6) == warm
