@@ -161,7 +161,12 @@ def check_central(n, mode=GENERIC):
 
 
 def check_eigenvalue(n, k, mode=GENERIC):
-    """Whether the element scales every basis state of the (n, k) module."""
+    """
+    Whether the element scales every basis state of the (n, k) module.
+    Raises ValueError unless 0 <= k <= n.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("no standard module U(%d, %d): k must lie in 0..%d" % (n, k, n))
     f = build_F(n, mode)
     dk = delta(k, mode)
     for v in enumerate_links(n, k):

@@ -123,7 +123,7 @@ def main():
 @click.option("--n-max", type=int, required=True, help="largest size to tabulate")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
               default="csv", show_default=True)
-@click.option("--cap-override", type=int, default=None,
+@click.option("--cap-override", type=click.IntRange(min=0), default=None,
               help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP)
 def dims(n_max, fmt, cap_override):
     """Standard-module dimension table for sizes 0..n-max."""
@@ -152,7 +152,7 @@ def dims(n_max, fmt, cap_override):
               help="order m >= 3 of the root of unity")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
               default="csv", show_default=True)
-@click.option("--nullity-n-max", type=int, default=7, show_default=True,
+@click.option("--nullity-n-max", type=click.IntRange(min=0), default=7, show_default=True,
               help="largest size for the Gram-nullity cross-check")
 def irr(n_max, m, fmt, nullity_n_max):
     """Irreducible dimension table, cross-checked three independent ways."""
@@ -188,7 +188,7 @@ def irr(n_max, m, fmt, nullity_n_max):
 @click.option("--root-of-unity", "m", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
               default="pretty", show_default=True)
-@click.option("--cap-override", type=int, default=None,
+@click.option("--cap-override", type=click.IntRange(min=0), default=None,
               help="raise the symbolic-determinant size cap (default 5)")
 def gram(n, k, generic, m, fmt, cap_override):
     """Gram matrix, determinants and radical of one standard module."""

@@ -16,7 +16,9 @@ each diagram carries the two side patterns as int masks (`west`, `east`),
 and a product of elements glues only the pairs whose masks agree.
 glue() is the one routine that follows strings: the product, the action
 on link states, the bilinear form and the tile-built central element each
-number their nodes, call it and read off the result.
+number their nodes, call it and read off the result.  glued_sum() is the
+one loop that sums glued pairs with their coefficients and loop weights,
+for the product, the action and the cellularity check.
 
 What a glued pair gives, its loop count and result, does not depend on
 the coefficient ring.  So the product of two diagrams is memoised per
@@ -227,6 +229,42 @@ def multiply_diagrams_raw(a, b):
     return loops, DiluteDiagram._glued(n, tuple(pairing), a.west, b.east)
 
 
+def glued_sum(left, right, raw, mode, keep=None):
+    """
+    The sum of c_a c_b beta^loops t over the terms a of `left` and b of
+    `right` (dicts from term to coefficient), with (loops, t) = raw(a, b)
+    for multiply_diagrams_raw or link_modules.act_diagram_raw, as a dict
+    from t to nonzero coefficient.  Each a is glued only to the b whose
+    west mask equals its east mask, the only pairs that do not vanish;
+    coefficients equal to the mode's shared one() are not multiplied; a t
+    with keep(t) false is dropped and a sum that cancels is removed as it
+    arises.
+    """
+    one = mode.one()
+    by_west = {}
+    for b, cb in right.items():
+        by_west.setdefault(b.west, []).append((b, cb))
+    acc = {}
+    for a, ca in left.items():
+        group = by_west.get(a.east)
+        if group is None:
+            continue
+        for b, cb in group:
+            loops, t = raw(a, b)
+            if keep is not None and not keep(t):
+                continue
+            c = cb if ca is one else ca if cb is one else ca * cb
+            if loops:
+                c = c * beta_power(mode, loops)
+            if t in acc:
+                c = acc[t] + c
+            if c:
+                acc[t] = c
+            else:
+                acc.pop(t, None)
+    return acc
+
+
 def check_compatible(a, b):
     """
     Raise ValueError unless two linear combinations (algebra elements or
@@ -314,34 +352,10 @@ class AlgebraElem(Combination):
         return AlgebraElem(d.n, mode, {d: coeff})
 
     def __mul__(self, other):
-        """
-        The product, summed into one dict; each left term is glued only to
-        the right terms whose west mask matches its east mask, the only
-        pairs whose product does not vanish.
-        """
+        """The product, summed by glued_sum over the product memo."""
         check_compatible(self, other)
-        mode = self.mode
-        one = mode.one()
-        by_west = {}
-        for d2, c2 in other.terms.items():
-            by_west.setdefault(d2.west, []).append((d2, c2))
-        acc = {}
-        for d1, c1 in self.terms.items():
-            group = by_west.get(d1.east)
-            if group is None:
-                continue
-            for d2, c2 in group:
-                loops, d = multiply_diagrams_raw(d1, d2)
-                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
-                if loops:
-                    c = c * beta_power(mode, loops)
-                if d in acc:
-                    c = acc[d] + c
-                if c:
-                    acc[d] = c
-                else:
-                    acc.pop(d, None)
-        return AlgebraElem._of(self.n, mode, acc)
+        return AlgebraElem._of(self.n, self.mode, glued_sum(
+            self.terms, other.terms, multiply_diagrams_raw, self.mode))
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))

@@ -74,7 +74,7 @@ def _pair_loops(x, y):
     if y.n != n or x.defect_count() != y.defect_count():
         raise ValueError("states %s and %s differ in size or defect count"
                          % (x.text(), y.text()))
-    if x.vac != y.vac:  # a string meets a vacancy
+    if x.west != y.west:  # a string meets a vacancy
         return None
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y
     ends, loops = glue(site_nodes(x) + site_nodes(y, n), _mirror_seam(n))

@@ -9,38 +9,41 @@ zero on any string/vacancy mismatch, and removal of strings that join two
 defects.  In the standard-module action, resulting states with fewer than
 k defects are dropped.  A diagram acts on a state only if its right side
 is vacant exactly where the state is: each state carries its vacancy
-pattern as an int mask (`vac`, compared with a diagram's `east`), and
-`act` glues only the pairs whose masks agree.  The glued state and loop
-count of a (diagram, state) pair are memoised, ring-free, like products.
+pattern as an int mask (`west`, compared with a diagram's `east`).  The
+glued state and loop count of a (diagram, state) pair are memoised,
+ring-free, like products, and `act` sums them with diagram_core's
+glued_sum, which glues only the pairs whose masks agree.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .ring import GENERIC, beta_power
-from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, Combination, DiluteDiagram,
-                           check_compatible, product_seam, slot_nodes, glue)
+from .ring import GENERIC
+from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
+                           DiluteDiagram, check_compatible, glue, glued_sum, product_seam,
+                           slot_nodes)
 from .tl_reference import dim_v
 
 
 class LinkState:
     """
     An immutable link state; sites is a tuple over {'V','D', partner-int}.
-    Bit i of `vac` is set when site i+1 is vacant.
+    Bit i of `west` is set when site i+1 is vacant: the mask faces the
+    diagram glued on the state's left, like a diagram's own `west`.
     """
 
-    __slots__ = ("n", "sites", "vac")
+    __slots__ = ("n", "sites", "west")
 
     def __init__(self, sites):
         sites = tuple(sites)
         n = len(sites)
         # validate arcs: ints point at each other and nest properly
         stack = []
-        vac = 0
+        west = 0
         for i, s in enumerate(sites):
             if s == "V":
-                vac |= 1 << i
+                west |= 1 << i
                 continue
             if s == "D":
                 if stack:
@@ -56,15 +59,15 @@ class LinkState:
                 stack.pop()
         self.n = n
         self.sites = sites
-        self.vac = vac
+        self.west = west
 
     @classmethod
-    def _glued(cls, sites, vac):
+    def _glued(cls, sites, west):
         """A state from a planar sites tuple and its vacancy mask, unchecked."""
         v = object.__new__(cls)
         v.n = len(sites)
         v.sites = sites
-        v.vac = vac
+        v.west = west
         return v
 
     def defect_count(self):
@@ -232,7 +235,7 @@ def act_diagram_raw(d, v):
     n = d.n
     if v.n != n:
         raise ValueError("diagram on %d sites, state on %d" % (n, v.n))
-    if d.east != v.vac:
+    if d.east != v.west:
         return 0, None
     size = 2 * n
     # nodes: the diagram's slots, then the link sites where a right-hand
@@ -251,46 +254,21 @@ def act_diagram(d, v, mode=GENERIC, quotient_k=None):
     With quotient_k set, output states with fewer than quotient_k defects
     are dropped.
     """
-    loops, w = act_diagram_raw(d, v)
-    if w is None or (quotient_k is not None and w.defect_count() < quotient_k):
-        return LinComb(d.n, mode)
-    return LinComb(d.n, mode, {w: beta_power(mode, loops)})
+    return act(AlgebraElem.from_diagram(d, mode), v, quotient_k)
 
 
 def act(u, v, quotient_k=None):
     """
-    Bilinear extension of the diagram action to algebra elements; the
-    terms are summed into one dict, zeros dropped as they arise.  Each
-    diagram meets only the states whose vacancy mask matches its east
-    mask, the only pairs whose action does not vanish.
+    Bilinear extension of the diagram action to algebra elements, summed
+    by glued_sum over the action memo.  With quotient_k set, output states
+    with fewer than quotient_k defects are dropped.
     """
     mode = u.mode
     if isinstance(v, LinkState):
         v = LinComb.from_state(v, mode)
     check_compatible(u, v)
-    one = mode.one()
-    by_vac = {}
-    for s, cs in v.terms.items():
-        by_vac.setdefault(s.vac, []).append((s, cs))
-    acc = {}
-    for d, cd in u.terms.items():
-        group = by_vac.get(d.east)
-        if group is None:
-            continue
-        for s, cs in group:
-            loops, w = act_diagram_raw(d, s)
-            if quotient_k is not None and w.defect_count() < quotient_k:
-                continue
-            c = cs if cd is one else cd if cs is one else cd * cs
-            if loops:
-                c = beta_power(mode, loops) * c
-            if w in acc:
-                c = acc[w] + c
-            if c:
-                acc[w] = c
-            else:
-                acc.pop(w, None)
-    return LinComb._of(u.n, mode, acc)
+    keep = None if quotient_k is None else lambda w: w.defect_count() >= quotient_k
+    return LinComb._of(u.n, mode, glued_sum(u.terms, v.terms, act_diagram_raw, mode, keep))
 
 
 def diagram_from_links(x, y):

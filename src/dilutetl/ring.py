@@ -206,15 +206,22 @@ class LaurentPoly:
 
     @staticmethod
     def parse(text):
-        """Parse the sparse "c*q^e" sum format produced by str()."""
+        """
+        Parse the sparse "c*q^e" sum format produced by str().  Raises
+        ValueError, naming the term, on any malformed input.
+        """
         text = text.strip()
         if text == "0":
             return LaurentPoly.zero()
         coeffs = {}
         for part in text.split(" + "):
-            cstr, estr = part.split("*q^")
-            e = int(estr)
-            coeffs[e] = coeffs.get(e, 0) + Fraction(cstr)
+            try:
+                cstr, estr = part.split("*q^")
+                e = int(estr)
+                c = Fraction(cstr)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("malformed term %r in %r" % (part, text)) from None
+            coeffs[e] = coeffs.get(e, 0) + c
         return LaurentPoly(coeffs)
 
 
@@ -582,11 +589,11 @@ class QMode:
 
     def zero(self):
         """The zero of this mode's ring: one shared element per mode."""
-        return _constant(self, 0)
+        return _constant(self.kind, self.m, 0)
 
     def one(self):
         """The one of this mode's ring: one shared element per mode."""
-        return _constant(self, 1)
+        return _constant(self.kind, self.m, 1)
 
     def const(self, v):
         return LaurentPoly.const(v) if self.is_generic else CycloElem.const(self.m, v)
@@ -614,9 +621,13 @@ GENERIC = QMode("generic")
 
 
 @lru_cache(maxsize=None)
-def _constant(mode, v):
-    """The constant v of a mode's ring, memoised per mode (see `QMode.zero`)."""
-    return mode.const(v)
+def _constant(kind, m, v):
+    """
+    The constant v of QMode(kind, m)'s ring, memoised per mode (see
+    `QMode.zero`).  Keyed by (kind, m), not by the mode, whose __hash__
+    runs Python code on each of the many one() lookups.
+    """
+    return QMode(kind, m).const(v)
 
 
 def root_of_unity(m):

@@ -10,13 +10,12 @@ dimension checks for the restriction and induction formulas.
 """
 
 from functools import lru_cache
-from math import comb
 
-from .ring import GENERIC, beta_power
-from .diagram_core import (AlgebraElem, all_generators, identity, transpose,
-                           multiply_diagrams_raw, reduce_mod_ideal, crossing_count)
-from .link_modules import (enumerate_links, dim_standard, act, LinComb,
-                           diagram_from_links, links_of_diagram)
+from .ring import GENERIC
+from .diagram_core import (all_generators, identity, glued_sum, multiply_diagrams_raw,
+                           crossing_count)
+from .link_modules import (enumerate_links, dim_standard, act, diagram_from_links,
+                           links_of_diagram)
 from .gram import gram_product, gram_nullity
 from .tl_reference import is_critical
 
@@ -168,15 +167,14 @@ def regular_decomposition(n, mode):
     return out
 
 
-def _coeff_map(elem, k, y):
+def _coeff_map(terms, k, y):
     """
-    Write an algebra element, reduced to crossing count >= k, in the form
-    sum_z r(z) |z y~|; returns the map z -> r(z) or None if some term has
-    a right link different from y.
+    Write a dict of diagram terms, each with at least k crossings, in the
+    form sum_z r(z) |z y~|; returns the map z -> r(z) or None if some term
+    has more than k crossings or a right link different from y.
     """
-    red = reduce_mod_ideal(elem, k)
     out = {}
-    for d, c in red.terms.items():
+    for d, c in terms.items():
         if crossing_count(d) != k:
             # terms with more crossings would lower-filtrate differently;
             # they cannot appear in a product with a k-crossing diagram
@@ -188,30 +186,6 @@ def _coeff_map(elem, k, y):
     return {z: c for z, c in out.items() if c}
 
 
-def _times_diagram_mod(a, d, k):
-    """
-    The terms of a * d with at least k crossings, as a dict: each term of
-    a glued to the one diagram d, terms below k crossings dropped as the
-    products are summed.
-    """
-    acc = {}
-    for d1, c in a.terms.items():
-        if d1.east != d.west:
-            continue
-        loops, p = multiply_diagrams_raw(d1, d)
-        if crossing_count(p) < k:
-            continue
-        if loops:
-            c = c * beta_power(a.mode, loops)
-        if p in acc:
-            c = acc[p] + c
-        if c:
-            acc[p] = c
-        else:
-            acc.pop(p, None)
-    return acc
-
-
 def verify_cellularity(n, k, mode=GENERIC):
     """
     Check the basis-transport axiom on the diagram basis: for every
@@ -220,19 +194,31 @@ def verify_cellularity(n, k, mode=GENERIC):
     on x, and sandwich products collapse to the bilinear form.  Each
     |x y~|, each action u x, each pairing <y, z> and each
     phi = <y, u x'> is built once and shared by the checks that use it.
+    Raises ValueError unless 0 <= k <= n.
     """
+    if not 0 <= k <= n:
+        raise ValueError("no standard module U(%d, %d): k must lie in 0..%d" % (n, k, n))
     basis = enumerate_links(n, k)
     gens = [identity(n, mode)] + [u for _lab, u in all_generators(n, mode)]
-    diagrams = {(x, y): diagram_from_links(x, y) for x in basis for y in basis}
-    cells = {xy: AlgebraElem.from_diagram(d, mode) for xy, d in diagrams.items()}
+    one = mode.one()
+    # each |x y~| as a one-term dict, the operand glued_sum takes
+    cells = {(x, y): {diagram_from_links(x, y): one} for x in basis for y in basis}
     pairing = {(y, z): gram_product(y, z, mode) for y in basis for z in basis}
     zero = mode.zero()
+
+    def outside_ideal(d):
+        return crossing_count(d) >= k
+
+    def times(a, b):
+        """The terms of a * b outside the ideal of diagrams with fewer than k crossings."""
+        return glued_sum(a, b, multiply_diagrams_raw, mode, outside_ideal)
+
     for u in gens:
         actions = [(x, act(u, x, quotient_k=k)) for x in basis]
         # same coefficients as the standard-module action, for every y
         for x, ux in actions:
             for y in basis:
-                if _coeff_map(u * cells[x, y], k, y) != ux.terms:
+                if _coeff_map(times(u.terms, cells[x, y]), k, y) != ux.terms:
                     return False
         # sandwich rule: |x y~| u |x' y''~| = <y, u x'> |x y''| mod lower
         for y in basis:
@@ -243,11 +229,11 @@ def verify_cellularity(n, k, mode=GENERIC):
                     phi = phi + pairing[y, z] * cz
                 phis.append((xp, phi))
             for x in basis[:2]:
-                left_u = cells[x, y] * u
+                left_u = times(cells[x, y], u.terms)
                 for xp, phi in phis:
                     for yp in basis[:2]:
-                        prod = _times_diagram_mod(left_u, diagrams[xp, yp], k)
-                        if prod != ({diagrams[x, yp]: phi} if phi else {}):
+                        prod = times(left_u, cells[xp, yp])
+                        if prod != (dict.fromkeys(cells[x, yp], phi) if phi else {}):
                             return False
     return True
 

@@ -115,6 +115,16 @@ def test_irr_n_max_out_of_range(n_max, fmt):
     assert res.exit_code == 2 and "--n-max must be between 0 and 12" in res.output
 
 
+@pytest.mark.parametrize("args,option", [
+    (["dims", "--n-max", "5", "--cap-override", "-3"], "--cap-override"),
+    (["gram", "--n", "2", "--k", "0", "--cap-override", "-1"], "--cap-override"),
+    (["irr", "--n-max", "4", "--root-of-unity", "6", "--nullity-n-max", "-5"],
+     "--nullity-n-max")])
+def test_negative_counts_are_usage_errors(args, option):
+    res = _run(args)
+    assert res.exit_code == 2 and "Invalid value for '%s'" % option in res.output
+
+
 def test_gram_small_determinants():
     res = _run(["gram", "--n", "2", "--k", "0", "--format", "json"])
     data = json.loads(res.output)

@@ -13,7 +13,7 @@ from dilutetl.ring import GENERIC, root_of_unity
 from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
                                    all_generators, crossing_count,
                                    enumerate_diagrams, generator, glue,
-                                   identity, multiply_diagrams_raw,
+                                   glued_sum, identity, multiply_diagrams_raw,
                                    parity_split, projector_pi,
                                    reduce_mod_ideal, transpose,
                                    transpose_diagram)
@@ -150,6 +150,10 @@ def test_malformed_input_raises_under_optimize():
         "         (ValueError, lambda: diagram_from_links(u2, LinkState.from_text('()'))),",
         "         (ValueError, lambda: theta(2, u1)),",
         "         (ArithmeticError, bottom_arc_broken),",
+        "         (ValueError, lambda: central.check_eigenvalue(3, 7)),",
+        "         (ValueError, lambda: central.check_eigenvalue(2, -1)),",
+        "         (ValueError, lambda: structure.verify_cellularity(2, 5)),",
+        "         (ValueError, lambda: structure.verify_cellularity(2, -1)),",
         "         (ValueError, lambda: structure.pair_info(0, 1, 3)),",
         "         (ValueError, lambda: structure.irr_dims_recurrence(3, 1))]",
         "for i, (error, make) in enumerate(cases):",
@@ -315,7 +319,10 @@ def test_transpose_diagram_is_mirror():
 
 
 def test_vacancy_masks_match_sites():
-    """west/east and vac are the per-site vacancy patterns as bit masks."""
+    """
+    A diagram's west/east and a state's west are the per-site vacancy
+    patterns as bit masks.
+    """
     for n in range(1, 5):
         for d in enumerate_diagrams(n):
             west = sum(1 << s for s in range(n) if d.pairing[s] is VACANT)
@@ -325,7 +332,7 @@ def test_vacancy_masks_match_sites():
     for n in range(7):
         for k in range(n + 1):
             for v in enumerate_links(n, k):
-                assert v.vac == sum(1 << i for i, s in enumerate(v.sites)
+                assert v.west == sum(1 << i for i, s in enumerate(v.sites)
                                     if s == "V"), v
 
 
@@ -349,3 +356,20 @@ def test_mul_matches_pair_fold(mode):
             pairs += [(mix, mix)] + [(mix, g) for g in gens] + [(g, mix) for g in gens]
         for a, b in pairs:
             assert a * b == mul_fold(a, b), (n, a, b)
+
+
+def test_crossing_filtered_glued_sum_matches_reduced_fold():
+    """
+    The kernel with the crossing filter, as the cellularity check calls
+    it, equals the oracle's full product reduced modulo the ideal of
+    diagrams with fewer than k crossings: every pair at n <= 3, every k.
+    """
+    for n in (1, 2, 3):
+        elems = [AlgebraElem.from_diagram(d) for d in enumerate_diagrams(n)]
+        for a in elems:
+            for d in elems:
+                full = mul_fold(a, d)
+                for k in range(n + 1):
+                    got = glued_sum(a.terms, d.terms, multiply_diagrams_raw, GENERIC,
+                                    lambda t: crossing_count(t) >= k)
+                    assert got == reduce_mod_ideal(full, k).terms, (a, d, k)

@@ -151,16 +151,6 @@ def test_nullity_block_assembly(m):
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 10, 12])
-def test_integer_rank_matches_field_nullity(m):
-    """The rank over Z[beta] gives the nullity of the field elimination."""
-    mode = root_of_unity(m)
-    for n in range(1, 9 if m in (6, 8) else 8):
-        for k in range(n % 2, n + 1, 2):
-            want = _nullity_field(tl_gram_matrix(n, k, mode))
-            assert _tl_nullity(n, k, mode) == want, (n, k, m)
-
-
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 10, 12])
 def test_echelon_radical_matches_field_elimination(m):
     """
     Back-substitution on the echelon over Z[beta] gives, cell for cell,

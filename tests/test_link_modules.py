@@ -239,9 +239,9 @@ def test_memoised_actions_match_fresh_validated_glue():
                 loops, w = act_diagram_raw(d, v)
                 assert (loops, w) == act_diagram_raw.__wrapped__(d, v)
                 if w is None:
-                    assert d.east != v.vac
+                    assert d.east != v.west
                     continue
-                assert w.n == n and LinkState(w.sites).vac == w.vac == d.west
+                assert w.n == n and LinkState(w.sites).west == w.west == d.west
 
 
 def test_glue_memos_are_shared_across_modes():

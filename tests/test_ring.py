@@ -93,6 +93,13 @@ def test_laurent_parse_roundtrip(a):
     assert LaurentPoly.parse(str(a)) == a
 
 
+@pytest.mark.parametrize("text", ["", "  ", "1/0*q^0", "1*q^0 + 1/0*q^2", "q^2", "1*q^",
+                                  "x*q^1", "1*q^1.5", "1*q^1*q^2", "1*q^1 +", "1*q^1 + + 2*q^3"])
+def test_laurent_parse_rejects_malformed_terms(text):
+    with pytest.raises(ValueError, match="malformed term"):
+        LaurentPoly.parse(text)
+
+
 @pytest.mark.parametrize("m", list(range(1, 31)))
 def test_cyclotomic_poly_vs_sympy(m):
     x = sympy.symbols("x")
