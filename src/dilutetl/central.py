@@ -32,7 +32,7 @@ standard module by the scalar q^(k+1) + q^-(k+1).
 
 from functools import lru_cache
 
-from .ring import GENERIC, LaurentPoly, beta_power
+from .ring import GENERIC, CrossCheckError, LaurentPoly, beta_power
 from .diagram_core import VACANT, AlgebraElem, DiluteDiagram, all_generators, glue
 from .link_modules import enumerate_links, LinComb, act
 
@@ -122,7 +122,7 @@ def _row_transfer(n):
         acc = closed.setdefault(tuple(p), {})
         for (e, l), c in weights.items():
             if e % 2:
-                raise ArithmeticError("half powers of q must cancel")
+                raise CrossCheckError("half powers of q must cancel")
             by_q = acc.setdefault(l + cup_loops, {})
             by_q[e // 2] = by_q.get(e // 2, 0) + c
     return tuple((DiluteDiagram(n, p), by_loops) for p, by_loops in closed.items())

@@ -123,7 +123,26 @@ class DiluteDiagram:
 
     @staticmethod
     def from_json_dict(d):
-        return DiluteDiagram.from_pairs(d["n"], d["pairs"])
+        """
+        The diagram of a `to_json_dict` record, whose "vacant" field may be
+        left out.  Raises ValueError, naming the field, when a field is
+        missing or ill-typed or "vacant" contradicts the pairs.
+        """
+        for field in ("n", "pairs"):
+            if not isinstance(d, dict) or field not in d:
+                raise ValueError("a diagram record needs the field %r: %r" % (field, d))
+        n, pairs = d["n"], d["pairs"]
+        if type(n) is not int or n < 0:
+            raise ValueError("field 'n' is not a non-negative int: %r" % (n,))
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and all(type(s) is int for s in p) for p in pairs)):
+            raise ValueError("field 'pairs' is not a list of int pairs: %r" % (pairs,))
+        out = DiluteDiagram.from_pairs(n, pairs)
+        if "vacant" in d and d["vacant"] != out.vacant_slots():
+            raise ValueError("field 'vacant' is %r, but the pairs leave %r vacant"
+                             % (d["vacant"], out.vacant_slots()))
+        return out
 
 
 def _noncrossing(pairing):

@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .ring import (GENERIC, CycloElem, beta, beta_power, laurent_product,
+from .ring import (GENERIC, beta, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_dense_links, site_nodes
@@ -455,14 +455,12 @@ def _dense_nullspace(occ, k, mode):
         x[pc] = ([[Fraction(v, den) for v in plane]
                   for plane in _sum_of_products([(table, _sum_of_products(terms))])]
                  if terms else [[0] * len(free) for _ in psi[1:]])
-    reps = [beta_power(mode, j).rep for j in range(len(psi) - 1)]
     made = {}
 
     def cell(coords):
         if coords not in made:
-            made[coords] = mode.zero() if not any(coords) else CycloElem(
-                mode.m, [sum(c * r[i] for c, r in zip(coords, reps))
-                         for i in range(len(reps[0]))])
+            made[coords] = sum((c * beta_power(mode, j) for j, c in enumerate(coords) if c),
+                               mode.zero())
         return made[coords]
 
     return tuple(tuple(cell(tuple(plane[v] for plane in x[c])) for c in range(size))

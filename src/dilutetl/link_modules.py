@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .ring import GENERIC
+from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
                            DiluteDiagram, check_compatible, glue, glued_sum, product_seam,
                            slot_nodes)
@@ -214,7 +214,7 @@ def dim_standard(n, k):
                     for p in range((n - k) // 2 + 1))
     by_trinomial = _trinomial(n, k) - _trinomial(n, k + 2)
     if by_blocks != by_trinomial:
-        raise ArithmeticError("dim U(%d, %d): %d by blocks, %d by trinomials"
+        raise CrossCheckError("dim U(%d, %d): %d by blocks, %d by trinomials"
                               % (n, k, by_blocks, by_trinomial))
     return by_blocks
 
@@ -362,7 +362,7 @@ def restriction_psi(v):
         return None
     if not (isinstance(last, int) and 0 <= last < v.n - 1):
         # LinkState's constructor rules this out
-        raise ArithmeticError("the bottom site of %r closes no arc from above"
+        raise CrossCheckError("the bottom site of %r closes no arc from above"
                               % (v.sites,))
     sites = list(v.sites[:-1])
     sites[last] = "D"

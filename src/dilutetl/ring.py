@@ -2,9 +2,21 @@
 Exact coefficient arithmetic.
 
 Two coefficient rings are provided: Laurent polynomials in q with rational
-coefficients (the generic ring), and the cyclotomic field Q[q]/(Phi_m(q))
-for q a primitive m-th root of unity.  All arithmetic is exact; no floating
-point is used anywhere.
+coefficients (the generic ring, `LaurentPoly`), and the cyclotomic field
+Q[q]/(Phi_m(q)) for q a primitive m-th root of unity (`CycloElem`).  All
+arithmetic is exact; no floating point is used anywhere.
+
+Both rings share one representation, a sparse dict `coeffs` from exponent
+to nonzero coefficient, and one set of operations: a `CycloElem` is a
+`LaurentPoly` that holds its remainder modulo Phi_m (exponents
+0..phi(m)-1).  Each operation builds its result through `_new`, which in
+the cyclotomic ring reduces with q^m = 1 and then one memoised remainder of
+q^e for each e from phi(m) to m-1, and reads its other operand through
+`_lift`: an int, a Fraction or an element of the same ring, else
+TypeError.  The field adds only `inv`, division and negative powers.  The
+root-of-unity values of `QMode` (constants, powers of q and of beta,
+q-numbers) are images of the generic ones under the specialisation map
+`QMode.convert`.
 
 Coefficients are normalised when an element is built: an integral value is
 stored as a plain int and only a non-integral one as a Fraction.  Every
@@ -27,11 +39,10 @@ multiply: for the few-term products of diagram and module arithmetic the
 packing and read-back cost more than the dict-based `LaurentPoly.__mul__`
 saves, so that stays as it is.
 
-Ring elements are immutable: no operation writes to its operands, and
-neither `LaurentPoly.coeffs` nor `CycloElem.rep` is changed after
-construction.  Memoised values (`beta`, `beta_power`, each mode's zero
-and one, the dense Gram blocks) and matrix cells therefore share element
-objects freely.
+Ring elements are immutable: no operation writes to its operands, and no
+element's `coeffs` is changed after construction.  Memoised values (`beta`,
+`beta_power`, each mode's zero and one, the dense Gram blocks) and matrix
+cells therefore share element objects freely.
 """
 
 from fractions import Fraction
@@ -46,6 +57,10 @@ def _norm(v):
         if v.denominator == 1:
             v = v.numerator
     return v
+
+
+class CrossCheckError(ArithmeticError):
+    """Two independent computations of one value disagree: a bug, not bad input."""
 
 
 class LaurentPoly:
@@ -88,57 +103,61 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other):
+    def _new(self, coeffs):
+        """An element of this ring from a dict of nonzero coefficients."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = coeffs
+        return out
+
+    def _lift(self, other):
+        """other as an element of this ring: an int, a Fraction or the ring's own."""
+        if type(other) is LaurentPoly:
+            return other
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+            return LaurentPoly({0: other})
+        raise TypeError("cannot combine a Laurent polynomial with %s %r"
+                        % (type(other).__name__, other))
+
+    def __add__(self, other):
         c = dict(self.coeffs)
-        for e, v in other.coeffs.items():
+        for e, v in self._lift(other).coeffs.items():
             w = c.get(e, 0) + v
             if w == 0:
                 c.pop(e, None)
             else:
                 c[e] = w
-        out = LaurentPoly()
-        out.coeffs = c
-        return out
+        return self._new(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly()
-        out.coeffs = {e: -v for e, v in self.coeffs.items()}
-        return out
+        return self._new({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+        other = self._lift(other).coeffs.items()
         c = {}
         for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
+            for e2, v2 in other:
                 e = e1 + e2
                 w = c.get(e, 0) + v1 * v2
                 if w == 0:
                     c.pop(e, None)
                 else:
                     c[e] = w
-        out = LaurentPoly()
-        out.coeffs = c
-        return out
+        return self._new(c)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial: %d" % n)
-        out = LaurentPoly.one()
+        out = self._lift(1)
         base = self
         while n:
             if n & 1:
@@ -148,9 +167,9 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        try:
+            other = self._lift(other)
+        except TypeError:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -168,8 +187,7 @@ class LaurentPoly:
         Divide by another Laurent polynomial; the quotient must be exact
         (zero remainder) or a ValueError is raised.
         """
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+        other = self._lift(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
@@ -319,7 +337,7 @@ def cyclotomic_poly(m):
         if m % p == 0 and all(p % r for r in range(2, p)):
             q, r = _poly_divmod(_spread(phi, p), phi)
             if any(r):
-                raise ArithmeticError("Phi_%d(x) does not divide Phi_%d(x^%d)" % (rad, rad, p))
+                raise CrossCheckError("Phi_%d(x) does not divide Phi_%d(x^%d)" % (rad, rad, p))
             phi, rad = q, rad * p
     return _spread(phi, m // rad)
 
@@ -358,7 +376,7 @@ def real_cyclotomic_poly(m):
 
 
 def times_beta(a, psi):
-    """x * a modulo the monic psi, on coefficient tuples of length deg(psi)."""
+    """x * a modulo a monic psi, on coefficient tuples of length deg(psi)."""
     top = a[-1]
     return tuple(s - top * c for s, c in zip((0,) + a[:-1], psi))
 
@@ -372,158 +390,96 @@ def real_beta_power(m, j):
     return times_beta(real_beta_power(m, j - 1), psi)
 
 
-def _poly_mod(a, phi):
-    """Reduce dense polynomial a modulo phi (monic)."""
-    a = list(a)
-    n = len(phi) - 1
-    while len(a) > n:
-        f = a[-1]
-        d = len(a) - 1 - n
-        if f != 0:
-            for i in range(n + 1):
-                a[i + d] -= f * phi[i]
-        a.pop()
-    while len(a) < n:
-        a.append(0)
-    return a
+@lru_cache(maxsize=None)
+def _reduction(m):
+    """
+    (d, rows) for Phi_m of degree d: rows[e - d], for d <= e < m, is the
+    remainder of q^e modulo Phi_m as (exponent, coefficient) pairs, each
+    row q times the one before.
+    """
+    phi = cyclotomic_poly(m)
+    d = len(phi) - 1
+    row, rows = (0,) * (d - 1) + (1,), []
+    for _e in range(d, m):
+        row = times_beta(row, phi)
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+    return d, rows
 
 
-def _poly_ext_gcd(a, b):
-    """Extended gcd for dense rational polynomials: g, s, t with g = s*a + t*b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-
-    def trim(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def sub_mul(p, q, f):
-        # p - f*q as dense lists
-        out = list(p) + [0] * max(0, len(q) + len(f) - 1 - len(p))
-        for i, qc in enumerate(q):
-            for j, fc in enumerate(f):
-                out[i + j] -= qc * fc
-        return trim(out)
-
-    r0, r1 = trim(r0), trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, sub_mul(s0, s1, q)
-        t0, t1 = t1, sub_mul(t0, t1, q)
-    return r0, s0, t0
+def _reduce(m, coeffs):
+    """The remainder of a Laurent polynomial modulo Phi_m, read with q^m = 1."""
+    d, rows = _reduction(m)
+    out = {}
+    for e, v in coeffs.items():
+        if not 0 <= e < d:
+            e %= m
+            if e >= d:
+                for i, c in rows[e - d]:
+                    out[i] = out.get(i, 0) + c * v
+                continue
+        out[e] = out.get(e, 0) + v
+    return {e: v if type(v) is int else _norm(v) for e, v in out.items() if v}
 
 
-class CycloElem:
+class CycloElem(LaurentPoly):
     """
     An element of Q[q]/(Phi_m(q)), the field generated by a primitive m-th
-    root of unity.  `rep` is a dense coefficient tuple of length deg(Phi_m).
+    root of unity: a `LaurentPoly` whose `coeffs` hold its remainder modulo
+    Phi_m (exponents 0..phi(m)-1), the same for every Laurent polynomial
+    that maps to it.
     """
 
-    __slots__ = ("m", "rep")
+    __slots__ = ("m",)
 
-    def __init__(self, m, rep):
+    def __init__(self, m, coeffs=None):
         if m < 3:
             raise ValueError("m in {1,2} is rejected; q = +-1 is not a supported root mode")
         self.m = m
-        dense = _poly_mod(list(rep), cyclotomic_poly(m))
-        self.rep = tuple(_norm(v) for v in dense)
+        self.coeffs = _reduce(m, coeffs or {})
 
-    @staticmethod
-    def zero(m):
-        return CycloElem(m, [])
-
-    @staticmethod
-    def one(m):
-        return CycloElem(m, [1])
-
-    @staticmethod
-    def q(m, exp=1):
-        exp %= m
-        return CycloElem(m, [0] * exp + [1])
-
-    @staticmethod
-    def const(m, v):
-        return CycloElem(m, [v])
-
-    @staticmethod
-    def from_laurent(m, p):
-        """Specialize a Laurent polynomial at the primitive m-th root."""
-        dense = [0] * m
-        for e, v in p.coeffs.items():
-            dense[e % m] += v  # q^m = 1
-        return CycloElem(m, dense)
-
-    def is_zero(self):
-        return not any(self.rep)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem.const(self.m, other)
-        if not isinstance(other, CycloElem) or other.m != self.m:
-            raise TypeError("cannot combine an element of Q(zeta_%d) with %r"
-                            % (self.m, other))
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CycloElem(self.m, [a + b for a, b in zip(self.rep, other.rep)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElem(self.m, [-a for a in self.rep])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        n = len(self.rep)
-        prod = [0] * (2 * n - 1 if n else 1)
-        for i, a in enumerate(self.rep):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.rep):
-                if b:
-                    prod[i + j] += a * b
-        return CycloElem(self.m, prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = CycloElem.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+    def _new(self, coeffs):
+        out = CycloElem.__new__(CycloElem)
+        out.m = self.m
+        out.coeffs = _reduce(self.m, coeffs)
         return out
 
+    def _lift(self, other):
+        if type(other) is CycloElem and other.m == self.m:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CycloElem(self.m, {0: other})
+        raise TypeError("cannot combine an element of Q(zeta_%d) with %s %r"
+                        % (self.m, type(other).__name__, other))
+
+    # bound here too: perfbench/tracer.py wraps them from this class's own __dict__
+    __add__ = __radd__ = LaurentPoly.__add__
+    __sub__ = LaurentPoly.__sub__
+    __rsub__ = LaurentPoly.__rsub__
+    __neg__ = LaurentPoly.__neg__
+    __mul__ = __rmul__ = LaurentPoly.__mul__
+
+    def __pow__(self, n):
+        return self.inv() ** -n if n < 0 else LaurentPoly.__pow__(self, n)
+
     def inv(self):
-        """Multiplicative inverse; the quotient ring is a field."""
-        if self.is_zero():
+        """
+        Multiplicative inverse: the product of the other Galois conjugates
+        (q -> q^k for the units k mod m other than 1) over the norm, the
+        product of all of them, which must be a nonzero rational.
+        """
+        if not self.coeffs:
             raise ZeroDivisionError("zero is not invertible")
-        g, s, _ = _poly_ext_gcd(list(self.rep), cyclotomic_poly(self.m))
-        if len(g) != 1 or not g[0]:
-            raise ArithmeticError("gcd %r with Phi_%d is not a unit" % (g, self.m))
-        c = g[0]
-        return CycloElem(self.m, [Fraction(v, c) for v in s])
+        rest = self._lift(1)
+        for k in range(2, self.m):
+            if gcd(k, self.m) == 1:
+                rest = rest * CycloElem(self.m, {k * e: v for e, v in self.coeffs.items()})
+        norm = (self * rest).coeffs
+        if list(norm) != [0]:
+            raise CrossCheckError("norm %r of %s is not a nonzero rational" % (norm, self))
+        return rest * Fraction(1, norm[0])
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inv()
+        return self * self._lift(other).inv()
 
     def exact_div(self, other):
         """
@@ -531,26 +487,7 @@ class CycloElem:
         `LaurentPoly.exact_div` for fraction-free elimination; a zero
         divisor raises ZeroDivisionError.
         """
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero cyclotomic element")
         return self / other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElem.const(self.m, other)
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        return self.m == other.m and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.m, self.rep))
-
-    def __str__(self):
-        parts = ["%s*q^%d" % (v, e) for e, v in enumerate(self.rep) if v != 0]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
 
 
 def ell_of(m):
@@ -596,16 +533,18 @@ class QMode:
         return _constant(self.kind, self.m, 1)
 
     def const(self, v):
-        return LaurentPoly.const(v) if self.is_generic else CycloElem.const(self.m, v)
+        return self.convert(LaurentPoly.const(v))
 
     def q_power(self, e):
-        return LaurentPoly.q(e) if self.is_generic else CycloElem.q(self.m, e)
+        return self.convert(LaurentPoly.q(e))
 
     def convert(self, p):
-        """Map a generic Laurent polynomial into this mode's ring."""
-        if self.is_generic:
-            return p
-        return CycloElem.from_laurent(self.m, p)
+        """
+        The specialisation map: a generic Laurent polynomial read in this
+        mode's ring.  It is a ring map, so every root-of-unity value is the
+        image of the generic one.
+        """
+        return p if self.is_generic else CycloElem(self.m, p.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, QMode) and (self.kind, self.m) == (other.kind, other.m)
@@ -653,5 +592,9 @@ def beta(mode=GENERIC):
 
 @lru_cache(maxsize=None)
 def beta_power(mode, j):
-    """beta(mode) ** j, the weight of j closed loops, memoised per mode."""
-    return beta(mode) ** j
+    """
+    beta(mode) ** j, the weight of j closed loops, memoised per mode: at a
+    root of unity the image of the generic power, whose few terms reduce
+    faster than a product of reduced (at large m, dense) elements.
+    """
+    return beta() ** j if mode.is_generic else mode.convert(beta_power(GENERIC, j))

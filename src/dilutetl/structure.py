@@ -11,7 +11,7 @@ dimension checks for the restriction and induction formulas.
 
 from functools import lru_cache
 
-from .ring import GENERIC
+from .ring import GENERIC, CrossCheckError
 from .diagram_core import (all_generators, identity, glued_sum, multiply_diagrams_raw,
                            crossing_count)
 from .link_modules import (enumerate_links, dim_standard, act, diagram_from_links,
@@ -162,7 +162,7 @@ def regular_decomposition(n, mode):
             out.append(((kind, k), dim_irr(n, k, ell)))
         total = sum(m * pdims[k] for (_t, k), m in out)
     if total != algebra_dim(n):
-        raise ArithmeticError("regular module of size %d: %d, not %d"
+        raise CrossCheckError("regular module of size %d: %d, not %d"
                               % (n, total, algebra_dim(n)))
     return out
 

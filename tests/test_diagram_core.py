@@ -84,13 +84,14 @@ def test_malformed_input_raises_under_optimize():
     # the internal checks are made to fail by breaking one side of a
     # cross-check or the helper a ring check guards
     code = "\n".join([
+        "from math import gcd",
         "from dilutetl import central, link_modules, ring, structure",
         "from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, identity",
         "from dilutetl.link_modules import (LinComb, LinkState, act, diagram_from_links,",
         "                                   restriction_psi, theta)",
         "from dilutetl.gram import gram_nullity",
-        "from dilutetl.ring import (GENERIC, CycloElem, LaurentPoly, QMode, _poly_divmod,",
-        "                           cyclotomic_poly, qnum, root_of_unity)",
+        "from dilutetl.ring import (GENERIC, CrossCheckError, CycloElem, LaurentPoly, QMode,",
+        "                           _poly_divmod, cyclotomic_poly, qnum, root_of_unity)",
         "def odd_half_power():",
         "    central._LEFT_WEIGHT['a'] = (2, 1)",
         "    central.build_F(2)",
@@ -109,9 +110,12 @@ def test_malformed_input_raises_under_optimize():
         "        cyclotomic_poly(4)",
         "    finally:",
         "        ring._poly_divmod = _poly_divmod",
-        "def gcd_not_unit():",
-        "    ring._poly_ext_gcd = lambda a, b: ([0, 1], [1], [0])",
-        "    CycloElem.q(6).inv()",
+        "def norm_not_rational():",
+        "    ring.gcd = lambda a, b: 1",  # conjugates by every k, not only the units mod m
+        "    try:",
+        "        (root_of_unity(6).q_power(1) + 1).inv()",
+        "    finally:",
+        "        ring.gcd = gcd",
         "def bottom_arc_broken():",
         "    v = LinkState.__new__(LinkState)",  # skips the constructor's checks
         "    v.n, v.sites = 2, ('V', 5)",
@@ -119,25 +123,31 @@ def test_malformed_input_raises_under_optimize():
         "d2 = identity(2).terms",
         "u1, u2 = LinkState.from_text('D'), LinkState.from_text('DD')",
         "s1, s2 = LinComb.from_state(u1), LinComb.from_state(u2)",
-        "m6 = root_of_unity(6)",
+        "m6, m8 = root_of_unity(6), root_of_unity(8)",
         "cases = [(ValueError, lambda: DiluteDiagram(2, (2, 3, 0, 1))),",
         "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, None))),",
+        "         (ValueError, lambda: DiluteDiagram.from_json_dict(",
+        "             {'n': 1, 'pairs': [[0, 1]], 'vacant': [0]})),",
         "         (ValueError, lambda: LinkState.from_text('(D)')),",
         "         (ValueError, lambda: LaurentPoly.q() ** -1),",
-        "         (ZeroDivisionError, lambda: CycloElem.zero(6).inv()),",
-        "         (ArithmeticError, odd_half_power),",
-        "         (ArithmeticError, unbalanced),",
-        "         (ArithmeticError, formulas_disagree),",
-        "         (TypeError, lambda: CycloElem.q(6) + CycloElem.q(8)),",
-        "         (ValueError, lambda: CycloElem(2, [1])),",
+        "         (ZeroDivisionError, lambda: m6.zero().inv()),",
+        "         (CrossCheckError, odd_half_power),",
+        "         (CrossCheckError, unbalanced),",
+        "         (CrossCheckError, formulas_disagree),",
+        "         (TypeError, lambda: m6.q_power(1) + m8.q_power(1)),",
+        "         (TypeError, lambda: LaurentPoly.one() + m6.one()),",
+        "         (TypeError, lambda: m6.one() + LaurentPoly.one()),",
+        "         (TypeError, lambda: LaurentPoly.one() * m6.one()),",
+        "         (TypeError, lambda: m6.one() * LaurentPoly.one()),",
+        "         (ValueError, lambda: CycloElem(2, {0: 1})),",
         "         (ValueError, lambda: cyclotomic_poly(0)),",
         "         (ZeroDivisionError, lambda: _poly_divmod([1, 1], [0])),",
         "         (ValueError, lambda: QMode('bogus')),",
         "         (ValueError, lambda: gram_nullity(3, 1, GENERIC)),",
         "         (ValueError, lambda: qnum(-1)),",
         "         (ZeroDivisionError, lambda: LaurentPoly.q().subs_fraction(0)),",
-        "         (ArithmeticError, remainder_left),",
-        "         (ArithmeticError, gcd_not_unit),",
+        "         (CrossCheckError, remainder_left),",
+        "         (CrossCheckError, norm_not_rational),",
         "         (ValueError, lambda: AlgebraElem(1, GENERIC, d2)),",
         "         (ValueError, lambda: identity(1) + identity(2)),",
         "         (ValueError, lambda: identity(2) + identity(2, m6)),",
@@ -149,7 +159,7 @@ def test_malformed_input_raises_under_optimize():
         "         (ValueError, lambda: diagram_from_links(u1, u2)),",
         "         (ValueError, lambda: diagram_from_links(u2, LinkState.from_text('()'))),",
         "         (ValueError, lambda: theta(2, u1)),",
-        "         (ArithmeticError, bottom_arc_broken),",
+        "         (CrossCheckError, bottom_arc_broken),",
         "         (ValueError, lambda: central.check_eigenvalue(3, 7)),",
         "         (ValueError, lambda: central.check_eigenvalue(2, -1)),",
         "         (ValueError, lambda: structure.verify_cellularity(2, 5)),",
@@ -162,6 +172,10 @@ def test_malformed_input_raises_under_optimize():
         "    except error:",
         "        continue",
         "    raise SystemExit('case %d accepted' % i)",
+        "for a, b in ((LaurentPoly.one(), m6.one()), (m6.one(), LaurentPoly.one()),",
+        "             (m6.one(), m8.one())):",
+        "    if a == b:",
+        "        raise SystemExit('%r == %r across rings' % (a, b))",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -311,6 +325,38 @@ def test_mode_mixing_supported():
 def test_json_roundtrip():
     for d in enumerate_diagrams(3):
         assert DiluteDiagram.from_json_dict(d.to_json_dict()) == d
+
+
+RECORDS = [d.to_json_dict() for n in range(5) for d in enumerate_diagrams(n)]
+slot = st.one_of(st.integers(-1, 8), st.floats(0, 8), st.booleans(), st.text(max_size=1))
+json_records = st.one_of(
+    st.sampled_from(RECORDS),
+    # a real record whose vacant list may contradict its pairs
+    st.tuples(st.sampled_from(RECORDS), st.lists(st.integers(-1, 8), max_size=8)).map(
+        lambda rv: {**rv[0], "vacant": rv[1]}),
+    st.fixed_dictionaries({}, optional={
+        "n": st.one_of(st.integers(-1, 4), st.text(max_size=2), st.floats(0, 4),
+                       st.booleans(), st.none()),
+        "pairs": st.one_of(st.lists(st.lists(slot, max_size=3), max_size=4),
+                           st.integers(0, 3), st.text(max_size=2)),
+        "vacant": st.one_of(st.lists(st.integers(-1, 8), max_size=8), st.none())}),
+    st.one_of(st.none(), st.integers(), st.lists(st.integers(), max_size=2)))
+
+
+@settings(max_examples=300)
+@given(json_records)
+def test_from_json_dict_builds_or_raises_value_error(record):
+    """
+    Every record (n <= 4) either builds a diagram with the record's pairs and
+    vacant slots, which round-trips through to_json_dict, or raises ValueError.
+    """
+    try:
+        d = DiluteDiagram.from_json_dict(record)
+    except ValueError:
+        return
+    assert {tuple(sorted(p)) for p in record["pairs"]} == set(d.pairs())
+    assert record.get("vacant", d.vacant_slots()) == d.vacant_slots()
+    assert DiluteDiagram.from_json_dict(d.to_json_dict()) == d
 
 
 def test_transpose_diagram_is_mirror():

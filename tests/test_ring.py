@@ -25,7 +25,8 @@ laurent = st.dictionaries(
     max_size=5).map(LaurentPoly)
 int_laurent = st.dictionaries(
     st.integers(-5, 5), st.integers(-9, 9), max_size=5).map(LaurentPoly)
-cyclo_rep = st.lists(
+cyclo_rep = st.dictionaries(
+    st.integers(-6, 12),
     st.one_of(st.integers(-9, 9),
               st.fractions(min_value=-9, max_value=9, max_denominator=4)),
     max_size=6)
@@ -85,7 +86,7 @@ def test_cyclo_coefficients_normalised(m, a, b):
         with pytest.raises(ZeroDivisionError):
             x.exact_div(y)
     for r in results:
-        assert all(_normalised(v) for v in r.rep), r
+        assert all(_normalised(v) for v in r.coeffs.values()), r
 
 
 @given(laurent)
@@ -114,22 +115,23 @@ def test_real_cyclotomic_poly(m):
     units = sum(1 for a in range(1, m) if gcd(a, m) == 1)
     assert all(type(c) is int for c in psi)
     assert len(psi) - 1 == units // 2 and psi[-1] == 1
-    b = beta(root_of_unity(m))
-    powers = [CycloElem.one(m)]
+    mode = root_of_unity(m)
+    b = beta(mode)
+    powers = [mode.one()]
     for _ in range(len(psi) + 4):
         powers.append(powers[-1] * b)
-    assert sum((c * bj for c, bj in zip(psi, powers)), CycloElem.zero(m)).is_zero()
+    assert sum((c * bj for c, bj in zip(psi, powers)), mode.zero()).is_zero()
     # beta^j reduced mod psi_m, read back in the cyclotomic field
     for j, bj in enumerate(powers):
         coords = real_beta_power(m, j)
         assert sum((c * powers[i] for i, c in enumerate(coords)),
-                   CycloElem.zero(m)) == bj, j
+                   mode.zero()) == bj, j
 
 
 def _complex_eval(elem):
     """Numerical value of a cyclotomic element at exp(2*pi*i/m)."""
     w = cmath.exp(2j * cmath.pi / elem.m)
-    return sum(float(v) * w ** e for e, v in enumerate(elem.rep))
+    return sum(float(v) * w ** e for e, v in elem.coeffs.items())
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 10, 12])
@@ -141,15 +143,44 @@ def test_qnum_complex_oracle(m):
         assert abs(_complex_eval(qnum(j, mode)) - want) < 1e-9
 
 
+def _laurent_eval(p, w):
+    """Numerical value of a Laurent polynomial at the complex number w."""
+    return sum(float(v) * w ** e for e, v in p.coeffs.items())
+
+
+@given(st.sampled_from([3, 4, 5, 6, 7, 8, 9, 10, 12]), st.data())
+def test_convert_is_a_ring_map(m, data):
+    """
+    Specialisation at a primitive m-th root is a ring map, and the reduced
+    product takes the value a(w) b(w) at w = exp(2 pi i / m), computed
+    from the unreduced Laurent polynomials.
+    """
+    poly = st.dictionaries(
+        st.integers(-3 * m, 3 * m),
+        st.one_of(st.integers(-9, 9),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+        max_size=5).map(LaurentPoly)
+    a, b, j = data.draw(poly), data.draw(poly), data.draw(st.integers(0, 4))
+    convert = root_of_unity(m).convert
+    assert convert(a * b) == convert(a) * convert(b)
+    assert convert(a + b) == convert(a) + convert(b)
+    assert convert(a ** j) == convert(a) ** j
+    w = cmath.exp(2j * cmath.pi / m)
+    want = _laurent_eval(a, w) * _laurent_eval(b, w)
+    scale = sum(map(abs, a.coeffs.values())) * sum(map(abs, b.coeffs.values()))
+    assert abs(_complex_eval(convert(a * b)) - want) <= 1e-9 * (1 + scale)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 12])
 def test_cyclo_field(m):
-    q = CycloElem.q(m)
-    assert q ** m == CycloElem.one(m)
+    mode = root_of_unity(m)
+    q = mode.q_power(1)
+    assert q ** m == mode.one()
     for d in range(1, m):
-        assert q ** d != CycloElem.one(m), "root must be primitive"
-    a = q + CycloElem.const(m, Fraction(2, 3))
-    assert a * a.inv() == CycloElem.one(m)
-    assert (a / a) == CycloElem.one(m)
+        assert q ** d != mode.one(), "root must be primitive"
+    a = q + mode.const(Fraction(2, 3))
+    assert a * a.inv() == mode.one()
+    assert (a / a) == mode.one()
 
 
 @pytest.mark.parametrize("m,ell", [(3, 3), (4, 2), (5, 5), (6, 3), (8, 4),
@@ -198,7 +229,9 @@ def test_small_m_rejected():
     with pytest.raises(ValueError):
         ell_of(2)
     with pytest.raises(ValueError):
-        CycloElem.one(2)
+        CycloElem(2, {0: 1})
+    with pytest.raises(ValueError):
+        root_of_unity(2)
 
 
 def _product_fold(factors):
