@@ -142,7 +142,7 @@ def build_F(n, mode=GENERIC):
                                      for d, c in build_F(n).terms.items()})
     terms = {}
     for d, by_loops in _row_transfer(n):
-        coeff = LaurentPoly.zero()
+        coeff = LaurentPoly()
         for loops, by_q in by_loops.items():
             coeff = coeff + LaurentPoly(by_q) * beta_power(GENERIC, loops)
         terms[d] = coeff

@@ -210,26 +210,36 @@ def gram(n, k, generic, m, fmt, cap_override):
            "blocks": [{"start": s, "end": e, "occupied": occ}
                       for s, e, occ in gram_blocks(n, k)],
            "matrix": "@matrix"}
+    failures = []
     if n <= det_cap:
-        out["det_direct"] = str(gram_det_direct(n, k, mode))
-        out["det_closed"] = str(gram_det_closed(n, k, mode))
+        direct, closed = gram_det_direct(n, k, mode), gram_det_closed(n, k, mode)
+        out["det_direct"], out["det_closed"] = str(direct), str(closed)
+        if direct != closed:
+            failures.append("det_direct %s != det_closed %s" % (direct, closed))
     rad = []
     if mode.kind == "root":
         rad = list(block_rows(n, k, mode, radical=True, cell=cell))
         out["radical_dim"] = len(rad)
         out["radical_basis"] = "@radical_basis"
+        by_formula = out["dim"] - dim_irreducible_formula(n, k, mode.ell)
+        if len(rad) != by_formula:
+            failures.append("radical_dim %d != dim_standard - dim_irreducible_formula %d"
+                            % (len(rad), by_formula))
     if fmt == "json":
         doc = json.dumps(out, indent=2, sort_keys=True)
         doc = doc.replace('"@radical_basis"', _json_rows(rad), 1)
         click.echo(doc.replace('"@matrix"', _json_rows(matrix), 1))
-        return
-    lines = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
-    lines += ["block [%d:%d) occupied=%d" % (b["start"], b["end"], b["occupied"])
-              for b in out["blocks"]]
-    lines += ["  ".join(row) for row in matrix]
-    lines += ["%s: %s" % (key, out[key])
-              for key in ("det_direct", "det_closed", "radical_dim") if key in out]
-    click.echo("\n".join(lines))
+    else:
+        lines = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
+        lines += ["block [%d:%d) occupied=%d" % (b["start"], b["end"], b["occupied"])
+                  for b in out["blocks"]]
+        lines += ["  ".join(row) for row in matrix]
+        lines += ["%s: %s" % (key, out[key])
+                  for key in ("det_direct", "det_closed", "radical_dim") if key in out]
+        click.echo("\n".join(lines))
+    if failures:
+        click.echo("cross-check mismatch: %s" % "; ".join(failures), err=True)
+        sys.exit(1)
 
 
 def _suite_algebra(rng):

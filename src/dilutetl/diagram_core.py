@@ -502,14 +502,15 @@ def _noncrossing_matchings(points):
 DEFAULT_ENUM_CAP = 6
 
 
-def enumerate_diagrams(n, cap=DEFAULT_ENUM_CAP):
+def enumerate_diagrams(n):
     """
     All dilute diagrams of a given size, in a deterministic order.  The
-    count is the Motzkin number of 2n.  Guarded by a cap because the count
-    grows quickly.
+    count is the Motzkin number of 2n.  Guarded by `DEFAULT_ENUM_CAP`
+    because the count grows quickly.
     """
-    if n > cap:
-        raise ResourceWarning("diagram enumeration capped at n=%d (asked n=%d)" % (cap, n))
+    if n > DEFAULT_ENUM_CAP:
+        raise ResourceWarning("diagram enumeration capped at n=%d (asked n=%d)"
+                              % (DEFAULT_ENUM_CAP, n))
     diagrams = [DiluteDiagram.from_pairs(n, m)
                 for m in _noncrossing_matchings(tuple(range(2 * n)))]
     diagrams.sort(key=DiluteDiagram.sort_key)

@@ -13,10 +13,12 @@ to nonzero coefficient, and one set of operations: a `CycloElem` is a
 the cyclotomic ring reduces with q^m = 1 and then one memoised remainder of
 q^e for each e from phi(m) to m-1, and reads its other operand through
 `_lift`: an int, a Fraction or an element of the same ring, else
-TypeError.  The field adds only `inv`, division and negative powers.  The
-root-of-unity values of `QMode` (constants, powers of q and of beta,
+TypeError.  The field adds only `inv`, division and negative powers.
+Constants and powers of q come only from a `QMode` (`zero`, `one`,
+`const`, `q_power`); its root-of-unity values (those, powers of beta,
 q-numbers) are images of the generic ones under the specialisation map
-`QMode.convert`.
+`QMode.convert`.  `subs_fraction` and `parse` are generic-only and raise
+TypeError on a `CycloElem`.
 
 Coefficients are normalised when an element is built: an integral value is
 stored as a plain int and only a non-integral one as a Fraction.  Every
@@ -80,22 +82,6 @@ class LaurentPoly:
                 if v:
                     c[int(e)] = v
         self.coeffs = c
-
-    @staticmethod
-    def zero():
-        return LaurentPoly()
-
-    @staticmethod
-    def one():
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def q(exp=1):
-        return LaurentPoly({exp: 1})
-
-    @staticmethod
-    def const(v):
-        return LaurentPoly({0: v})
 
     def is_zero(self):
         return not self.coeffs
@@ -191,7 +177,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return LaurentPoly()
         # shift both to ordinary polynomials, divide, shift back
         sa, sb = self.min_exp(), other.min_exp()
         a = _to_dense(self)
@@ -204,6 +190,8 @@ class LaurentPoly:
 
     def subs_fraction(self, value):
         """Evaluate at a nonzero rational q = value; returns a Fraction."""
+        if type(self) is not LaurentPoly:  # a remainder's value is no ring map
+            raise TypeError("subs_fraction of a %s" % type(self).__name__)
         value = Fraction(value)
         if not value:
             raise ZeroDivisionError("a Laurent polynomial evaluated at q = 0")
@@ -222,15 +210,17 @@ class LaurentPoly:
 
     __repr__ = __str__
 
-    @staticmethod
-    def parse(text):
+    @classmethod
+    def parse(cls, text):
         """
         Parse the sparse "c*q^e" sum format produced by str().  Raises
         ValueError, naming the term, on any malformed input.
         """
+        if cls is not LaurentPoly:  # the text is a generic element
+            raise TypeError("%s.parse" % cls.__name__)
         text = text.strip()
         if text == "0":
-            return LaurentPoly.zero()
+            return LaurentPoly()
         coeffs = {}
         for part in text.split(" + "):
             try:
@@ -268,7 +258,7 @@ def laurent_product(factors):
         span += e * (p.max_exp() - low)
         step = gcd(step, *(x - low for x in p.coeffs))
     if not bound:
-        return LaurentPoly.zero()  # a zero factor
+        return LaurentPoly()  # a zero factor
     step = step or 1  # every factor a monomial
     span //= step
     nb = (bound.bit_length() + 8) // 8
@@ -520,10 +510,6 @@ class QMode:
             self.m = None
             self.ell = None
 
-    @property
-    def is_generic(self):
-        return self.kind == "generic"
-
     def zero(self):
         """The zero of this mode's ring: one shared element per mode."""
         return _constant(self.kind, self.m, 0)
@@ -533,10 +519,10 @@ class QMode:
         return _constant(self.kind, self.m, 1)
 
     def const(self, v):
-        return self.convert(LaurentPoly.const(v))
+        return self.convert(LaurentPoly({0: v}))
 
     def q_power(self, e):
-        return self.convert(LaurentPoly.q(e))
+        return self.convert(LaurentPoly({e: 1}))
 
     def convert(self, p):
         """
@@ -544,7 +530,7 @@ class QMode:
         mode's ring.  It is a ring map, so every root-of-unity value is the
         image of the generic one.
         """
-        return p if self.is_generic else CycloElem(self.m, p.coeffs)
+        return p if self.m is None else CycloElem(self.m, p.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, QMode) and (self.kind, self.m) == (other.kind, other.m)
@@ -553,7 +539,7 @@ class QMode:
         return hash((self.kind, self.m))
 
     def __repr__(self):
-        return "QMode(generic)" if self.is_generic else "QMode(root m=%d, ell=%d)" % (self.m, self.ell)
+        return "QMode(generic)" if self.m is None else "QMode(root m=%d, ell=%d)" % (self.m, self.ell)
 
 
 GENERIC = QMode("generic")
@@ -597,4 +583,4 @@ def beta_power(mode, j):
     root of unity the image of the generic power, whose few terms reduce
     faster than a product of reduced (at large m, dense) elements.
     """
-    return beta() ** j if mode.is_generic else mode.convert(beta_power(GENERIC, j))
+    return beta() ** j if mode.m is None else mode.convert(beta_power(GENERIC, j))

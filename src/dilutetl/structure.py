@@ -119,7 +119,7 @@ def principal_dims(n, ell):
     for k in range(n + 1):
         info = pair_info(k, ell, n)
         dim = dim_standard(n, k)
-        if not info["critical"] and k >= ell - 1:
+        if info["k_minus_in_range"]:
             dim += dim_standard(n, info["k_minus"])
         out.append(dim)
     return out
@@ -134,7 +134,7 @@ def loewy_type(n, k, ell):
     info = pair_info(k, ell, n)
     if info["critical"]:
         return "a"
-    if k < ell - 1:
+    if not info["k_minus_in_range"]:
         return "d"
     kpp = info["k_plus"] + 2 * (ell - 1)  # partner of k_plus, one window up
     if kpp <= n:
@@ -157,8 +157,7 @@ def regular_decomposition(n, mode):
         ell = mode.ell
         pdims = principal_dims(n, ell)
         for k in range(n + 1):
-            info = pair_info(k, ell, n)
-            kind = "U" if info["critical"] or k < ell - 1 else "P"
+            kind = "P" if pair_info(k, ell, n)["k_minus_in_range"] else "U"
             out.append(((kind, k), dim_irr(n, k, ell)))
         total = sum(m * pdims[k] for (_t, k), m in out)
     if total != algebra_dim(n):
@@ -264,6 +263,12 @@ def restriction_induction_report(n, ell):
         # induced from size m to m+1
         return dimU(m + 1, k - 1) + dimU(m + 1, k) + dimU(m + 1, k + 1)
 
+    def dim_ind_P(m, k):
+        # induced along the standard filtration of P_{m,k}
+        info = pair_info(k, ell, m)
+        return dim_ind_U(m, k) + (dim_ind_U(m, info["k_minus"])
+                                  if info["k_minus_in_range"] else 0)
+
     ell2 = ell == 2
 
     # restriction of radicals, size n+1 down to n
@@ -307,10 +312,7 @@ def restriction_induction_report(n, ell):
     if n >= 1:
         for k in range(n):
             info = pair_info(k, ell, n - 1)
-            # left side: induce the standard filtration of P_{n-1,k}
-            lhs = dim_ind_U(n - 1, k)
-            if not info["critical"] and k >= ell - 1:
-                lhs += dim_ind_U(n - 1, info["k_minus"])
+            lhs = dim_ind_P(n - 1, k)
             if info["critical"]:
                 rhs = dimP(n, k) + dimP(n, k + 1)
             else:
@@ -333,10 +335,7 @@ def restriction_induction_report(n, ell):
 
     # global bookkeeping: inducing the whole algebra fills the bigger one
     if n >= 1:
-        lhs = sum(dimL(n - 1, k) * (dim_ind_U(n - 1, k)
-                                    + (dim_ind_U(n - 1, pair_info(k, ell, n - 1)["k_minus"])
-                                       if not is_critical(k, ell) and k >= ell - 1 else 0))
-                  for k in range(n))
+        lhs = sum(dimL(n - 1, k) * dim_ind_P(n - 1, k) for k in range(n))
         checks.append({"name": "ind_regular_total",
                        "pass": lhs == algebra_dim(n),
                        "lhs": lhs, "rhs": algebra_dim(n), "flag": None})

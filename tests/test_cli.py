@@ -8,9 +8,11 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from helpers import gram_output, motzkin
 
+from dilutetl import cli
 from dilutetl.cli import main
 from dilutetl.ring import GENERIC, root_of_unity
 
@@ -202,6 +204,51 @@ def test_gram_determinant_at_root():
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["det_direct"] == data["det_closed"]
+
+
+def test_gram_exits_nonzero_when_determinants_disagree(monkeypatch):
+    monkeypatch.setattr(cli, "gram_det_closed", lambda n, k, mode: mode.const(7))
+    for fmt in ("json", "pretty"):
+        res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--format", fmt])
+        assert res.exit_code == 1, fmt
+        assert "det_direct 1*q^-2 + 1*q^0 + 1*q^2 != det_closed 7*q^0" in res.stderr
+
+
+def test_gram_exits_nonzero_when_radical_disagrees(monkeypatch):
+    monkeypatch.setattr(cli, "dim_irreducible_formula", lambda n, k, ell: 0)
+    res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--root-of-unity", "6"])
+    assert res.exit_code == 1
+    assert "radical_dim 1 != dim_standard - dim_irreducible_formula 5" in res.stderr
+
+
+@st.composite
+def _cli_args(draw):
+    """
+    gram, dims or irr with sizes from -2 to 10 and m from -2 to 1002.  A gram
+    run that gets past the usage checks has n <= 4, and irr computes
+    nullities for n <= 3 at most, so no case takes long at m near 1000.
+    """
+    size, fmt = st.integers(-2, 10), st.sampled_from(["json", "csv", "pretty"])
+    root = ["--root-of-unity", str(draw(st.integers(-2, 1002)))]
+    cmd = draw(st.sampled_from(["gram", "dims", "irr"]))
+    if cmd == "dims":
+        args = ["--n-max", str(draw(size))]
+    elif cmd == "irr":
+        args = ["--n-max", str(draw(size)), "--nullity-n-max",
+                str(draw(st.integers(-1, 3)))] + root
+    else:
+        n = draw(st.one_of(st.integers(-2, 4), st.integers(9, 10)))
+        args = (["--n", str(n), "--k", str(draw(size))]
+                + draw(st.sampled_from([[], ["--generic"], root, ["--generic"] + root])))
+    return [cmd] + args + ["--format", draw(fmt)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_cli_args())
+def test_cli_input_gives_an_exit_code_not_a_traceback(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
 
 
 def test_gram_mode_flags_exclusive():

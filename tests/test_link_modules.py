@@ -26,6 +26,16 @@ settings.register_profile("fixed", derandomize=True, max_examples=40)
 settings.load_profile("fixed")
 
 
+@settings(max_examples=300)
+@given(st.text(alphabet="VD()x", max_size=10))
+def test_from_text_roundtrips_or_raises_value_error(text):
+    try:
+        state = LinkState.from_text(text)
+    except ValueError:
+        return
+    assert state.text() == text
+
+
 def test_text_roundtrip():
     for n in range(1, 6):
         for k in range(n + 1):
