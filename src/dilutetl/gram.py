@@ -47,16 +47,15 @@ command line's text output (each distinct block's cells rendered once,
 the rows joined into the document) are all built from it.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from .ring import (GENERIC, beta, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_dense_links, site_nodes
-from .tl_reference import det_gram_tl, dim_irr_tl
+from .tl_reference import det_gram_tl, dim_irr_tl, dim_v, occupied_counts
 
 
 def gram_product(x, y, mode=GENERIC):
@@ -105,15 +104,15 @@ def gram_blocks(n, k):
     Index ranges of the diagonal blocks, one per vacancy configuration,
     as (start, end, occupied_count) triples over the ordered basis.  The
     basis orders states by vacancy count, then vacancy positions (the
-    order of `itertools.combinations`), so the blocks follow in that order,
-    comb(n, v) blocks of the dense size for v vacancies, the empty ones
-    left out.
+    order of `itertools.combinations`), so the blocks follow in that order:
+    for each occupied-site count m of `occupied_counts`, largest first,
+    comb(n, m) blocks of the dense size dim_v(m, k).
     """
     out, start = [], 0
-    for v in range(n + 1):
-        size = len(enumerate_dense_links(n - v, k))
-        for _ in range(comb(n, v) if size else 0):
-            out.append((start, start + size, n - v))
+    for m, count in reversed(occupied_counts(n, k)):
+        size = dim_v(m, k)
+        for _ in range(count):
+            out.append((start, start + size, m))
             start += size
     return tuple(out)
 
@@ -248,20 +247,19 @@ def gram_det_direct(n, k, mode=GENERIC):
     converted to the mode once; at a root of unity this is the
     specialisation of the generic determinant.
     """
-    counts = Counter(occ for _s, _e, occ in gram_blocks(n, k))
-    return mode.convert(laurent_product((_dense_det(occ, k), count)
-                                        for occ, count in counts.items()))
+    return mode.convert(laurent_product((_dense_det(m, k), count)
+                                        for m, count in occupied_counts(n, k)))
 
 
 def gram_det_closed(n, k, mode=GENERIC):
     """
     Closed form: the product over occupied-site counts of the dense Gram
     determinant `det_gram_tl` raised to a binomial multiplicity, by the
-    integer kernel `laurent_product`, converted to the mode once.  The
-    all-defect block (m == k) pairs to 1 and is left out.
+    integer kernel `laurent_product`, converted to the mode once; 1 (the
+    empty product) for a module that does not exist.
     """
-    return mode.convert(laurent_product(
-        (det_gram_tl(m, k), comb(n, m)) for m in range(k + 2, n + 1, 2)))
+    return mode.convert(laurent_product((det_gram_tl(m, k), count)
+                                        for m, count in occupied_counts(n, k)))
 
 
 def _rref(mat):
@@ -481,8 +479,7 @@ def gram_nullity(n, k, mode):
     """
     if mode.kind != "root":
         raise ValueError("the form is nondegenerate generically: no nullity")
-    return sum(comb(n, k + 2 * p) * _tl_nullity(k + 2 * p, k, mode)
-               for p in range((n - k) // 2 + 1))
+    return sum(count * _tl_nullity(m, k, mode) for m, count in occupied_counts(n, k))
 
 
 def radical_basis(n, k, mode):
@@ -508,5 +505,4 @@ def dim_irreducible_formula(n, k, ell):
     Dimension of the irreducible via the dense-block formula: binomial
     multiplicities times dense irreducible dimensions.
     """
-    return sum(comb(n, k + 2 * p) * dim_irr_tl(k + 2 * p, k, ell)
-               for p in range((n - k) // 2 + 1))
+    return sum(count * dim_irr_tl(m, k, ell) for m, count in occupied_counts(n, k))

@@ -17,13 +17,12 @@ glued_sum, which glues only the pairs whose masks agree.
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
                            DiluteDiagram, check_compatible, glue, glued_sum, product_seam,
                            slot_nodes)
-from .tl_reference import dim_v
+from .tl_reference import dim_v, occupied_counts
 
 
 class LinkState:
@@ -210,8 +209,7 @@ def dim_standard(n, k):
     """
     if not 0 <= k <= n:
         return 0
-    by_blocks = sum(comb(n, k + 2 * p) * dim_v(k + 2 * p, k)
-                    for p in range((n - k) // 2 + 1))
+    by_blocks = sum(count * dim_v(m, k) for m, count in occupied_counts(n, k))
     by_trinomial = _trinomial(n, k) - _trinomial(n, k + 2)
     if by_blocks != by_trinomial:
         raise CrossCheckError("dim U(%d, %d): %d by blocks, %d by trinomials"

@@ -160,6 +160,8 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant hashes as the number it equals
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def min_exp(self):

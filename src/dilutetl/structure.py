@@ -105,8 +105,12 @@ def irr_dims_recurrence(n_max, ell):
 
 
 def dim_irr(n, k, ell):
-    """Irreducible dimension from the recurrence table."""
-    return irr_dims_recurrence(n, ell)[n][k]
+    """
+    Irreducible dimension from the recurrence table; 0 unless 0 <= k <= n
+    (no such module).
+    """
+    table = irr_dims_recurrence(max(n, 0), ell)
+    return table[n][k] if 0 <= k <= n else 0
 
 
 def principal_dims(n, ell):
@@ -237,6 +241,11 @@ def verify_cellularity(n, k, mode=GENERIC):
     return True
 
 
+def _check(checks, name, lhs, rhs, **extra):
+    """Append a check record: its name, whether lhs == rhs, both sides, then extra keys."""
+    checks.append({"name": name, "pass": lhs == rhs, "lhs": lhs, "rhs": rhs, **extra})
+
+
 def restriction_induction_report(n, ell):
     """
     Dimension-level verification of the restriction and induction
@@ -247,21 +256,15 @@ def restriction_induction_report(n, ell):
     """
     checks = []
 
-    def dimU(m, k):
-        return dim_standard(m, k) if 0 <= k <= m else 0
-
-    def dimL(m, k):
-        return dim_irr(m, k, ell) if 0 <= k <= m else 0
-
     def dimR(m, k):
-        return dimU(m, k) - dimL(m, k)
+        return dim_standard(m, k) - dim_irr(m, k, ell)
 
     def dimP(m, k):
         return principal_dims(m, ell)[k] if 0 <= k <= m else 0
 
     def dim_ind_U(m, k):
         # induced from size m to m+1
-        return dimU(m + 1, k - 1) + dimU(m + 1, k) + dimU(m + 1, k + 1)
+        return sum(dim_standard(m + 1, j) for j in (k - 1, k, k + 1))
 
     def dim_ind_P(m, k):
         # induced along the standard filtration of P_{m,k}
@@ -269,76 +272,46 @@ def restriction_induction_report(n, ell):
         return dim_ind_U(m, k) + (dim_ind_U(m, info["k_minus"])
                                   if info["k_minus_in_range"] else 0)
 
-    ell2 = ell == 2
+    radical_ks = [k for k in range(n + 2) if dimR(n + 1, k)]
 
     # restriction of radicals, size n+1 down to n
-    for k in range(n + 2):
-        if dimR(n + 1, k) == 0:
-            continue
-        branch_flag = None
-        if is_critical(k + 1, ell):
-            third = dimU(n, k + 1)
-            if is_critical(k - 1, ell):
-                branch_flag = "ell2_double_critical"
-        else:
-            third = dimR(n, k + 1)
-        lhs = dimR(n + 1, k)
-        rhs = dimR(n, k - 1) + dimR(n, k) + third
-        checks.append({"name": "res_radical_k%d" % k, "pass": lhs == rhs,
-                       "lhs": lhs, "rhs": rhs, "flag": branch_flag})
+    for k in radical_ks:
+        cplus = is_critical(k + 1, ell)
+        third = dim_standard(n, k + 1) if cplus else dimR(n, k + 1)
+        _check(checks, "res_radical_k%d" % k, dimR(n + 1, k),
+               dimR(n, k - 1) + dimR(n, k) + third,
+               flag="ell2_double_critical" if cplus and is_critical(k - 1, ell) else None)
 
     # restriction of irreducibles, size n+1 down to n
-    for k in range(n + 2):
-        if dimR(n + 1, k) == 0:
-            continue
-        third = 0 if is_critical(k + 1, ell) else dimL(n, k + 1)
-        lhs = dimL(n + 1, k)
-        rhs = dimL(n, k - 1) + dimL(n, k) + third
-        checks.append({"name": "res_irred_k%d" % k, "pass": lhs == rhs,
-                       "lhs": lhs, "rhs": rhs, "flag": None})
+    for k in radical_ks:
+        third = 0 if is_critical(k + 1, ell) else dim_irr(n, k + 1, ell)
+        _check(checks, "res_irred_k%d" % k, dim_irr(n + 1, k, ell),
+               dim_irr(n, k - 1, ell) + dim_irr(n, k, ell) + third, flag=None)
 
     # induced standards across a critical line
-    if n >= 1:
-        for kc in range(n):
-            if not is_critical(kc, ell):
-                continue
-            lhs = dim_ind_U(n - 1, kc)
-            rhs = dimU(n, kc) + dimP(n, kc + 1) if kc + 1 <= n else dimU(n, kc)
-            checks.append({"name": "ind_critical_k%d" % kc,
-                           "pass": lhs == rhs, "lhs": lhs, "rhs": rhs,
-                           "flag": None})
+    for kc in range(n):
+        if is_critical(kc, ell):
+            _check(checks, "ind_critical_k%d" % kc, dim_ind_U(n - 1, kc),
+                   dim_standard(n, kc) + dimP(n, kc + 1), flag=None)
 
-    # induced principal indecomposables, size n-1 up to n
-    if n >= 1:
-        for k in range(n):
-            info = pair_info(k, ell, n - 1)
-            lhs = dim_ind_P(n - 1, k)
-            if info["critical"]:
-                rhs = dimP(n, k) + dimP(n, k + 1)
-            else:
-                km = info["k_minus"]
-                cplus = is_critical(k + 1, ell)
-                cminus = is_critical(k - 1, ell)
-                rhs = dimP(n, k) + dimP(n, k + 1)
-                if cplus and cminus:
-                    rhs += 2 * dimP(n, k - 1) + dimP(n, km - 1)
-                elif cplus:
-                    rhs += dimP(n, k - 1) + dimP(n, km - 1)
-                elif cminus:
-                    rhs += 2 * dimP(n, k - 1)
-                else:
-                    rhs += dimP(n, k - 1)
-            checks.append({"name": "ind_principal_k%d" % k,
-                           "pass": lhs == rhs, "lhs": lhs, "rhs": rhs,
-                           "flag": "ell2_double_critical"
-                           if (ell2 and not info["critical"]) else None})
+    # induced principal indecomposables, size n-1 up to n: P(k) + P(k+1),
+    # and off a critical line P(k-1), once more when k-1 is critical, and
+    # P(k_minus - 1) when k+1 is critical
+    for k in range(n):
+        info = pair_info(k, ell, n - 1)
+        rhs = dimP(n, k) + dimP(n, k + 1)
+        if not info["critical"]:
+            rhs += dimP(n, k - 1) * (2 if is_critical(k - 1, ell) else 1)
+            if is_critical(k + 1, ell):
+                rhs += dimP(n, info["k_minus"] - 1)
+        _check(checks, "ind_principal_k%d" % k, dim_ind_P(n - 1, k), rhs,
+               flag="ell2_double_critical" if ell == 2 and not info["critical"] else None)
 
     # global bookkeeping: inducing the whole algebra fills the bigger one
     if n >= 1:
-        lhs = sum(dimL(n - 1, k) * dim_ind_P(n - 1, k) for k in range(n))
-        checks.append({"name": "ind_regular_total",
-                       "pass": lhs == algebra_dim(n),
-                       "lhs": lhs, "rhs": algebra_dim(n), "flag": None})
+        _check(checks, "ind_regular_total",
+               sum(dim_irr(n - 1, k, ell) * dim_ind_P(n - 1, k) for k in range(n)),
+               algebra_dim(n), flag=None)
 
     return {"n": n, "ell": ell, "checks": checks,
             "all_pass": all(c["pass"] for c in checks)}
@@ -350,61 +323,37 @@ def structure_report(n, mode):
     matrices, and the outcome of the global consistency checks; dimR is the
     Gram nullity, independent of the recurrence that gives dimL.
     """
-    rows = []
     checks = []
     if mode.kind == "generic":
+        rows = [{"k": k, "dimU": u, "dimR": 0, "dimL": u, "dimP": u, "critical": False,
+                 "pair": None, "loewy_type": None}
+                for k, u in enumerate(dim_standard(n, k) for k in range(n + 1))]
+        d = c = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+        pair_rows = []
+    else:
+        ell = mode.ell
+        pdims = principal_dims(n, ell)
+        rows = []
         for k in range(n + 1):
-            u = dim_standard(n, k)
-            rows.append({"k": k, "dimU": u, "dimR": 0, "dimL": u,
-                         "dimP": u, "critical": False, "pair": None,
-                         "loewy_type": None})
-        d = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-        c = d
-        checks.append({"name": "regular_total",
-                       "pass": sum(r["dimL"] * r["dimP"] for r in rows)
-                       == algebra_dim(n),
-                       "lhs": sum(r["dimL"] * r["dimP"] for r in rows),
-                       "rhs": algebra_dim(n)})
-        return {"n": n, "mode": {"kind": "generic", "m": None, "ell": None},
-                "rows": rows, "matrices": {"d": d, "c": c}, "checks": checks}
-
-    ell = mode.ell
-    pdims = principal_dims(n, ell)
-    for k in range(n + 1):
-        u = dim_standard(n, k)
-        l = dim_irr(n, k, ell)
-        info = pair_info(k, ell, n)
-        rows.append({"k": k, "dimU": u, "dimR": gram_nullity(n, k, mode),
-                     "dimL": l, "dimP": pdims[k], "critical": info["critical"],
-                     "pair": {"k_minus": info["k_minus"],
-                              "k_plus": info["k_plus"],
-                              "k_minus_in_range": info["k_minus_in_range"],
-                              "k_plus_in_range": info["k_plus_in_range"]},
-                     "loewy_type": loewy_type(n, k, ell)})
-    d = decomposition_matrix(n, ell)
-    c = cartan_matrix(n, ell)
-    checks.append({"name": "cartan_symmetric",
-                   "pass": all(c[i][j] == c[j][i]
-                               for i in range(n + 1) for j in range(n + 1)),
-                   "lhs": None, "rhs": None})
-    total = sum(r["dimL"] * r["dimP"] for r in rows)
-    checks.append({"name": "regular_total", "pass": total == algebra_dim(n),
-                   "lhs": total, "rhs": algebra_dim(n)})
-    for r in rows:
-        if r["critical"] or r["pair"] is None:
-            continue
-        kp = r["pair"]["k_plus"]
-        if r["pair"]["k_plus_in_range"]:
-            dual = rows[kp]["dimL"]
-            checks.append({"name": "pair_duality_k%d" % r["k"],
-                           "pass": r["dimR"] == dual,
-                           "lhs": r["dimR"], "rhs": dual})
-            checks.append({"name": "exact_seq_k%d" % r["k"],
-                           "pass": r["dimU"] == r["dimL"] + dual,
-                           "lhs": r["dimU"], "rhs": r["dimL"] + dual})
-        else:
-            checks.append({"name": "pair_duality_k%d" % r["k"],
-                           "pass": r["dimR"] == 0,
-                           "lhs": r["dimR"], "rhs": 0})
-    return {"n": n, "mode": {"kind": "root", "m": mode.m, "ell": ell},
+            info = pair_info(k, ell, n)
+            rows.append({"k": k, "dimU": dim_standard(n, k), "dimR": gram_nullity(n, k, mode),
+                         "dimL": dim_irr(n, k, ell), "dimP": pdims[k],
+                         "critical": info["critical"],
+                         "pair": {key: info[key] for key in
+                                  ("k_minus", "k_plus", "k_minus_in_range", "k_plus_in_range")},
+                         "loewy_type": loewy_type(n, k, ell)})
+        d, c = decomposition_matrix(n, ell), cartan_matrix(n, ell)
+        checks.append({"name": "cartan_symmetric",
+                       "pass": all(c[i][j] == c[j][i]
+                                   for i in range(n + 1) for j in range(n + 1)),
+                       "lhs": None, "rhs": None})
+        pair_rows = [r for r in rows if not r["critical"]]
+    _check(checks, "regular_total", sum(r["dimL"] * r["dimP"] for r in rows), algebra_dim(n))
+    for r in pair_rows:
+        in_range = r["pair"]["k_plus_in_range"]
+        dual = rows[r["pair"]["k_plus"]]["dimL"] if in_range else 0
+        _check(checks, "pair_duality_k%d" % r["k"], r["dimR"], dual)
+        if in_range:
+            _check(checks, "exact_seq_k%d" % r["k"], r["dimU"], r["dimL"] + dual)
+    return {"n": n, "mode": {"kind": mode.kind, "m": mode.m, "ell": mode.ell},
             "rows": rows, "matrices": {"d": d, "c": c}, "checks": checks}

@@ -4,7 +4,7 @@ Reference quantities for the ordinary (dense) Temperley-Lieb algebra.
 These are used as building blocks for the dilute theory: the dilute
 objects decompose over vacancy configurations into dense ones, so the
 dense dimensions, Gram determinants and irreducible dimensions enter the
-dilute formulas with binomial multiplicities.
+dilute formulas with binomial multiplicities (`occupied_counts`).
 """
 
 from functools import lru_cache
@@ -16,6 +16,18 @@ from .ring import GENERIC, qnum
 def dim_tl(n):
     """Dimension of the dense algebra on n strands (a Catalan number)."""
     return comb(2 * n, n) // (n + 1)
+
+
+def occupied_counts(n, k):
+    """
+    The dilute-to-dense reduction: U(n, k) splits over vacancy
+    configurations, comb(n, m) of them leaving m occupied sites that carry
+    a dense (m, k) module.  The (m, comb(n, m)) pairs for m = k, k + 2, ...,
+    n; none unless 0 <= k <= n (no such module).
+    """
+    if not 0 <= k <= n:
+        return []
+    return [(m, comb(n, m)) for m in range(k, n + 1, 2)]
 
 
 def dim_v(n, k):

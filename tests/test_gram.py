@@ -63,6 +63,23 @@ def test_gram_blocks_match_enumerated_basis():
             assert gram_blocks(n, k) == tuple(want), (n, k)
 
 
+def test_modules_out_of_range_are_empty():
+    """No module U(n, k) outside 0 <= k <= n: dimension 0, determinant 1."""
+    modes = [GENERIC] + [root_of_unity(m) for m in (4, 6, 8)]
+    for n in range(7):
+        for k in (-2, -1, n + 1, n + 2):
+            assert dim_standard(n, k) == 0
+            for ell in (2, 3, 4):
+                assert dim_irr(n, k, ell) == 0
+                assert dim_irreducible_formula(n, k, ell) == 0
+            for mode in modes:
+                assert dim_irreducible(n, k, mode) == 0
+                if mode.kind == "root":
+                    assert gram_nullity(n, k, mode) == 0
+                assert gram_det_direct(n, k, mode) == mode.one()
+                assert gram_det_closed(n, k, mode) == mode.one()
+
+
 @pytest.mark.parametrize("m", [None, 4, 5, 6, 8])
 def test_gram_matrix_equals_pairing_oracle(m):
     """

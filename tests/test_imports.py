@@ -1,4 +1,7 @@
-"""Every name a dilutetl module imports is read somewhere in that module."""
+"""
+Every name a dilutetl module imports is read somewhere in that module, and
+no module relies on `assert` (python -O strips it).
+"""
 
 import ast
 import glob
@@ -22,3 +25,12 @@ def test_no_unused_imports(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"),
+                                                  recursive=True)),
+                         ids=lambda path: os.path.relpath(path, PACKAGE))
+def test_no_assert_statements(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -111,6 +111,16 @@ def test_laurent_parse_rejects_malformed_terms(text):
         LaurentPoly.parse(text)
 
 
+@pytest.mark.parametrize("m", [None, 3, 6, 8])
+def test_constants_hash_as_the_numbers_they_equal(m):
+    mode = GENERIC if m is None else root_of_unity(m)
+    for v in (0, 1, -3, Fraction(1, 2)):
+        c = mode.const(v)
+        assert c == v and hash(c) == hash(v) and len({c, v}) == 1
+    if m is not None:
+        assert hash(mode.q_power(m)) == hash(1)
+
+
 @pytest.mark.parametrize("m", list(range(1, 31)))
 def test_cyclotomic_poly_vs_sympy(m):
     x = sympy.symbols("x")

@@ -1,6 +1,7 @@
 """Root-of-unity bookkeeping: matrices, principal modules, reports."""
 
 import csv
+import json
 import os
 
 import pytest
@@ -19,6 +20,7 @@ from dilutetl.structure import (algebra_dim, cartan_matrix,
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "dilutetl",
                           "goldens")
+REPORT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.jsonl")
 
 
 def _golden_rows(name):
@@ -178,3 +180,56 @@ def test_dim_irr_bounds():
                 l = dim_irr(n, k, ell)
                 assert 1 <= l <= dim_standard(n, k)
                 assert dim_irr(n, n, ell) == 1
+
+
+def _check_entry(c):
+    return [c["name"], c["lhs"], c["rhs"], c.get("flag")]
+
+
+def report_lines():
+    """
+    One compact JSON line per report: `restriction_induction_report` for
+    n <= 6 and ell in (2, 3, 4), then `structure_report` for n <= 6,
+    generic and m in (4, 6, 8); each check as [name, lhs, rhs, flag].
+    The golden was written by
+
+        PYTHONPATH=src:tests python -c "import test_structure as t; print(*t.report_lines(), sep=chr(10))"
+
+    Rewrite it only for a line that is a correction.
+    """
+    for n in range(7):
+        for ell in (2, 3, 4):
+            rep = restriction_induction_report(n, ell)
+            yield json.dumps({"n": n, "ell": ell, "all_pass": rep["all_pass"],
+                              "checks": [_check_entry(c) for c in rep["checks"]]},
+                             separators=(",", ":"))
+    for n in range(7):
+        for mode in (GENERIC, root_of_unity(4), root_of_unity(6), root_of_unity(8)):
+            rep = structure_report(n, mode)
+            rows = [[list(v.values()) if isinstance(v, dict) else v for v in r.values()]
+                    for r in rep["rows"]]
+            yield json.dumps({"n": n, "mode": list(rep["mode"].values()), "rows": rows,
+                              "matrices": rep["matrices"],
+                              "checks": [_check_entry(c) for c in rep["checks"]]},
+                             separators=(",", ":"))
+
+
+def test_reports_match_golden():
+    with open(REPORT_GOLDEN, encoding="utf-8") as fh:
+        assert list(report_lines()) == fh.read().splitlines()
+
+
+def test_report_records_keep_their_keys():
+    for n in range(7):
+        for ell in (2, 3, 4):
+            for c in restriction_induction_report(n, ell)["checks"]:
+                assert list(c) == ["name", "pass", "lhs", "rhs", "flag"]
+                assert c["pass"] == (c["lhs"] == c["rhs"])
+        for mode in (GENERIC, root_of_unity(6)):
+            rep = structure_report(n, mode)
+            assert [list(r) for r in rep["rows"]] == [[
+                "k", "dimU", "dimR", "dimL", "dimP", "critical", "pair", "loewy_type"]] * (n + 1)
+            for c in rep["checks"]:
+                assert list(c) == ["name", "pass", "lhs", "rhs"]
+                if c["name"] != "cartan_symmetric":
+                    assert c["pass"] == (c["lhs"] == c["rhs"])

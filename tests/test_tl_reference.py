@@ -6,13 +6,20 @@ from helpers import catalan
 
 from dilutetl.ring import GENERIC, root_of_unity
 from dilutetl.tl_reference import (det_gram_tl, dim_irr_tl, dim_tl, dim_v,
-                                   is_critical)
+                                   is_critical, occupied_counts)
 from dilutetl.gram import _bareiss_det, _nullity_field, tl_gram_matrix
 
 
 @pytest.mark.parametrize("n", range(0, 10))
 def test_dim_tl_is_catalan(n):
     assert dim_tl(n) == catalan(n)
+
+
+def test_occupied_counts():
+    assert occupied_counts(4, 0) == [(0, 1), (2, 6), (4, 1)]
+    assert occupied_counts(5, 1) == [(1, 5), (3, 10), (5, 1)]
+    for k in (-1, 6):
+        assert occupied_counts(5, k) == []
 
 
 def test_dim_v_values():
