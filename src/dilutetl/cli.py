@@ -12,8 +12,10 @@ any internal cross-check fails.
 import json
 import os
 import random
+import re
 import sys
 from functools import lru_cache
+from itertools import chain
 
 import click
 
@@ -24,9 +26,9 @@ from .diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
 from .link_modules import (LinkState, act, act_diagram, dim_standard,
                            enumerate_links, induced_basis, phi_iso,
                            restriction_phi, restriction_psi)
-from .gram import (block_rows, dim_irreducible, dim_irreducible_formula,
-                   gram_blocks, gram_det_closed, gram_det_direct, gram_nullity,
-                   gram_product)
+from .gram import (dim_irreducible, dim_irreducible_formula, gram_blocks,
+                   gram_det_closed, gram_det_direct, gram_determinants,
+                   gram_nullity, gram_product, row_texts)
 from .central import build_F, check_central, check_eigenvalue
 from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
                         restriction_induction_report, structure_report,
@@ -102,16 +104,45 @@ def _json_cell(v):
     return json.dumps(str(v))
 
 
-def _json_rows(rows):
+# how `gram` joins the cells of a row in each format (json: as json.dumps
+# with indent=2 writes a row of a top-level array of arrays)
+_CELL_SEP = {"json": ",\n      ", "csv": ",", "pretty": "  "}
+
+
+def _json_rows(items, brackets="[]"):
     """
-    A list of rows of JSON cell texts as json.dumps(indent=2) writes it
-    under a top-level key.
+    The parts of a JSON array under a top-level key, as json.dumps with
+    indent=2 writes it, whose items are arrays (or, with brackets "{}",
+    objects) given as the texts of their members, already joined; the
+    items are joined once.  The rows of the matrix and the radical basis
+    come from `gram.row_texts`, each distinct dense row rendered once: a
+    Gram row from its loop counts, a radical row cell by cell.
     """
-    if not rows:
-        return "[]"
-    return ("[\n    [\n      "
-            + "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in rows)
-            + "\n    ]\n  ]")
+    start, end = brackets[0] + "\n      ", "\n    " + brackets[1]
+    body = (end + ",\n    " + start).join(items)
+    return ["[\n    " + start, body, end + "\n  ]"] if body else ["[]"]
+
+
+def _splice(doc, arrays):
+    """
+    The parts of the JSON text `doc` in turn, each '"@key"' marker
+    replaced by the parts arrays[key] (`_json_rows`).
+    """
+    parts = re.split(r'"@(\w+)"', doc)
+    yield parts[0]
+    for key, text in zip(parts[1::2], parts[2::2]):
+        yield from arrays[key]
+        yield text
+
+
+def _write(parts):
+    """
+    Echo text parts in turn, without joining them into one copy and
+    without click's ANSI stripping (the text holds no escapes, and
+    stripping copies it).
+    """
+    for part in parts:
+        click.echo(part, nl=False, color=True)
 
 
 @click.group()
@@ -198,27 +229,26 @@ def gram(n, k, generic, m, fmt, cap_override):
     if n > 8:
         raise click.UsageError("matrix output capped at n = 8")
     det_cap = cap_override if cap_override is not None else DEFAULT_DET_CAP
-    cell = _json_cell if fmt == "json" else str
-    matrix = list(block_rows(n, k, mode, cell=cell))
+    cell, sep = (_json_cell if fmt == "json" else str), _CELL_SEP[fmt]
+    matrix = row_texts(n, k, mode, cell, sep)
     if fmt == "csv":
-        click.echo("".join(",".join(row) + "\n" for row in matrix), nl=False)
+        _write(["\n".join(matrix), "\n"])
         return
-    # the two arrays are spliced into the JSON text in place of markers
+    # the three arrays are spliced into the JSON text in place of markers
     out = {"n": n, "k": k,
            "mode": {"kind": mode.kind, "m": mode.m, "ell": mode.ell},
-           "dim": dim_standard(n, k),
-           "blocks": [{"start": s, "end": e, "occupied": occ}
-                      for s, e, occ in gram_blocks(n, k)],
-           "matrix": "@matrix"}
+           "dim": dim_standard(n, k), "blocks": "@blocks", "matrix": "@matrix"}
     failures = []
     if n <= det_cap:
-        direct, closed = gram_det_direct(n, k, mode), gram_det_closed(n, k, mode)
-        out["det_direct"], out["det_closed"] = str(direct), str(closed)
-        if direct != closed:
-            failures.append("det_direct %s != det_closed %s" % (direct, closed))
+        direct, closed = gram_determinants(n, k, mode)
+        out["det_direct"] = out["det_closed"] = str(direct)
+        if closed is not direct:
+            out["det_closed"] = str(closed)
+            failures.append("det_direct %s != det_closed %s"
+                            % (out["det_direct"], out["det_closed"]))
     rad = []
     if mode.kind == "root":
-        rad = list(block_rows(n, k, mode, radical=True, cell=cell))
+        rad = list(row_texts(n, k, mode, cell, sep, radical=True))
         out["radical_dim"] = len(rad)
         out["radical_basis"] = "@radical_basis"
         by_formula = out["dim"] - dim_irreducible_formula(n, k, mode.ell)
@@ -226,17 +256,17 @@ def gram(n, k, generic, m, fmt, cap_override):
             failures.append("radical_dim %d != dim_standard - dim_irreducible_formula %d"
                             % (len(rad), by_formula))
     if fmt == "json":
-        doc = json.dumps(out, indent=2, sort_keys=True)
-        doc = doc.replace('"@radical_basis"', _json_rows(rad), 1)
-        click.echo(doc.replace('"@matrix"', _json_rows(matrix), 1))
+        arrays = {"blocks": _json_rows(('"end": %d,\n      "occupied": %d,\n      "start": %d'
+                                        % (e, occ, s) for s, e, occ in gram_blocks(n, k)),
+                                       "{}"),
+                  "matrix": _json_rows(matrix), "radical_basis": _json_rows(rad)}
+        _write(_splice(json.dumps(out, indent=2, sort_keys=True) + "\n", arrays))
     else:
-        lines = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
-        lines += ["block [%d:%d) occupied=%d" % (b["start"], b["end"], b["occupied"])
-                  for b in out["blocks"]]
-        lines += ["  ".join(row) for row in matrix]
-        lines += ["%s: %s" % (key, out[key])
-                  for key in ("det_direct", "det_closed", "radical_dim") if key in out]
-        click.echo("\n".join(lines))
+        head = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
+        head += ["block [%d:%d) occupied=%d" % block for block in gram_blocks(n, k)]
+        tail = ["%s: %s" % (key, out[key])
+                for key in ("det_direct", "det_closed", "radical_dim") if key in out]
+        _write(["\n".join(chain(head, matrix, tail)), "\n"])
     if failures:
         click.echo("cross-check mismatch: %s" % "; ".join(failures), err=True)
         sys.exit(1)

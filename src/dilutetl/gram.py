@@ -39,16 +39,26 @@ Every minor's beta-coefficients are at most size! in size, so with
 in balanced base 2^B.  The determinant of U(n, k) is the product of the
 generic dense determinants, each raised to the number of blocks it
 fills, multiplied out by the integer kernel `ring.laurent_product` and
-converted to the mode once; the closed form is built the same way.
+converted to the mode once; the closed form is the product of
+`det_gram_tl` built the same way.  `gram_determinants` compares the two
+factor by factor in the generic ring and, when every factor agrees,
+multiplies out and converts once: both products would run the same
+deterministic kernel on the same factors, so agreement of the factors is
+agreement of the products, and at a root of unity it is checked before
+specialisation.
 
-`block_rows` assembles full rows from the dense blocks, a block row
-between runs of one shared zero; the matrix, the radical basis and the
-command line's text output (each distinct block's cells rendered once,
-the rows joined into the document) are all built from it.
+`block_rows` is the one layout walk: each row of a dense block with the
+number of zero columns before and after it, in `gram_blocks` order.  The
+matrix and the radical basis fill those runs with one shared zero;
+`row_texts` renders each distinct dense row once (a Gram row from its
+loop counts, one text per loop count that occurs and one for zero; a
+radical row cell by cell) and each zero run as one string repetition,
+for the command line's output.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, gcd
 
 from .ring import (GENERIC, beta, beta_power, laurent_product,
@@ -95,7 +105,14 @@ def gram_matrix(n, k, mode=GENERIC):
     dense block of each vacancy configuration on the diagonal, one shared
     zero everywhere else.
     """
-    return list(block_rows(n, k, mode))
+    return _full_rows(n, k, mode, lambda occ: tl_gram_matrix(occ, k, mode))
+
+
+def _full_rows(n, k, mode, dense):
+    """The rows of `block_rows` as lists, the zero runs filled with the mode's zero."""
+    zero = mode.zero()
+    return [[zero] * before + list(row) + [zero] * after
+            for before, row, after in block_rows(n, k, dense)]
 
 
 @lru_cache(maxsize=None)
@@ -117,30 +134,46 @@ def gram_blocks(n, k):
     return tuple(out)
 
 
-def block_rows(n, k, mode, radical=False, cell=None):
+def block_rows(n, k, dense):
     """
-    Rows over the ordered basis assembled from the memoised dense blocks:
-    the rows of the Gram matrix, or with radical=True the radical basis
-    vectors.  Each row is a dense block's row between runs of one shared
-    zero.  With `cell`, every entry is mapped by it, once per cell of each
-    distinct dense block and once for the zero (the command line renders
-    its output this way).
+    The layout walk over the ordered basis: for each diagonal block in
+    `gram_blocks` order, each row of dense(occ) (the rows of its dense
+    block: Gram rows, radical vectors or their texts) as the triple
+    (columns before the row, the row, columns after it).  The blocks of
+    one occupied-site count are consecutive, so dense is called once per
+    count.
     """
-    dense = _dense_nullspace if radical else tl_gram_matrix
-    zero = mode.zero()
-    if cell is not None:
-        zero = cell(zero)
     blocks = gram_blocks(n, k)
     dim = blocks[-1][1] if blocks else 0
-    made = {}
-    for s, e, occ in blocks:
-        if occ not in made:
-            rows = dense(occ, k, mode)
-            made[occ] = rows if cell is None else [[cell(c) for c in row]
-                                                   for row in rows]
-        pre, post = [zero] * s, [zero] * (dim - e)
-        for row in made[occ]:
-            yield [*pre, *row, *post]
+    for occ, run in groupby(blocks, lambda block: block[2]):
+        rows = dense(occ)
+        for s, e, _occ in run:
+            for row in rows:
+                yield s, row, dim - e
+
+
+def row_texts(n, k, mode, cell, sep, radical=False):
+    """
+    The rows of the Gram matrix, or with radical=True of the radical
+    basis, as texts: every entry rendered by `cell`, the entries of a row
+    joined by `sep`.  Each distinct dense row is rendered once: a Gram row
+    from its loop counts (`_dense_loops`), with one text for each loop
+    count that occurs and one for zero, a radical row cell by cell.  Each
+    zero run is one string repetition.
+    """
+    zero = cell(mode.zero())
+
+    def dense(occ):
+        if radical:
+            return [sep.join(map(cell, row)) for row in _dense_nullspace(occ, k, mode)]
+        loops = _dense_loops(occ, k)
+        texts = {j: zero if j is None else cell(beta_power(mode, j))
+                 for j in {j for row in loops for j in row}}
+        return [sep.join([texts[j] for j in row]) for row in loops]
+
+    lead, trail = zero + sep, sep + zero
+    for before, row, after in block_rows(n, k, dense):
+        yield lead * before + row + trail * after
 
 
 def _bareiss_det(mat, mode=GENERIC):
@@ -247,8 +280,7 @@ def gram_det_direct(n, k, mode=GENERIC):
     converted to the mode once; at a root of unity this is the
     specialisation of the generic determinant.
     """
-    return mode.convert(laurent_product((_dense_det(m, k), count)
-                                        for m, count in occupied_counts(n, k)))
+    return _module_det(_dense_det, n, k, mode)
 
 
 def gram_det_closed(n, k, mode=GENERIC):
@@ -258,8 +290,27 @@ def gram_det_closed(n, k, mode=GENERIC):
     integer kernel `laurent_product`, converted to the mode once; 1 (the
     empty product) for a module that does not exist.
     """
-    return mode.convert(laurent_product((det_gram_tl(m, k), count)
+    return _module_det(det_gram_tl, n, k, mode)
+
+
+def _module_det(dense_det, n, k, mode):
+    """The product of dense_det(m, k) ** count over `occupied_counts`, in the mode."""
+    return mode.convert(laurent_product((dense_det(m, k), count)
                                         for m, count in occupied_counts(n, k)))
+
+
+def gram_determinants(n, k, mode=GENERIC):
+    """
+    (direct, closed): the determinants of `gram_det_direct` and
+    `gram_det_closed`, compared factor by factor in the generic ring.  When
+    every dense determinant `_dense_det` equals its closed form
+    `det_gram_tl`, the product is taken and converted once and returned as
+    both; otherwise both products are taken and differ in their factors.
+    """
+    if all(_dense_det(m, k) == det_gram_tl(m, k) for m, _count in occupied_counts(n, k)):
+        det = _module_det(_dense_det, n, k, mode)
+        return det, det
+    return gram_det_direct(n, k, mode), gram_det_closed(n, k, mode)
 
 
 def _rref(mat):
@@ -487,7 +538,7 @@ def radical_basis(n, k, mode):
     A basis of the radical as LinComb-style coefficient vectors over the
     ordered link basis (lists of ring elements).
     """
-    return list(block_rows(n, k, mode, radical=True))
+    return _full_rows(n, k, mode, lambda occ: _dense_nullspace(occ, k, mode))
 
 
 def dim_irreducible(n, k, mode=GENERIC):

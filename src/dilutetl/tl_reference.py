@@ -41,12 +41,14 @@ def dim_v(n, k):
     return comb(n, h) - (comb(n, h - 1) if h >= 1 else 0)
 
 
+@lru_cache(maxsize=None)
 def det_gram_tl(n, k):
     """
     Closed form for the dense Gram determinant on (n, k) in the generic
     ring: a product of quantum-number ratios with multiplicities given by
     standard-module dimensions.  The ratio product is a genuine Laurent
-    polynomial; the division is exact.
+    polynomial; the division is exact.  Memoised: the result is shared
+    between callers and must not be mutated.
     """
     if dim_v(n, k) == 0:
         raise ValueError("empty module")

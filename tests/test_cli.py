@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import gram_output, motzkin
 
-from dilutetl import cli
+from dilutetl import cli, gram
 from dilutetl.cli import main
 from dilutetl.ring import GENERIC, root_of_unity
 
@@ -164,12 +164,31 @@ def test_gram_radical_at_root():
     # psi_7 of degree 3
     (["--n", "8", "--k", "5", "--root-of-unity", "7"],
      "ef15aaa6f1f287066696a2b9ef75e0ba163166b91823a12c3916cad960e78829"),
+    # the largest output of the benchmark's gram_root workload (1,862,477 bytes)
+    (["--n", "8", "--k", "0", "--root-of-unity", "6"],
+     "1a769a11d75eeaba2ee81d33927b5c3426535490a38bb4495933ab506794beef"),
 ])
 def test_gram_json_bytes_pinned(args, digest):
     """Matrix, blocks, determinants and radical basis, byte for byte."""
     res = _run(["gram", "--format", "json"] + args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,csv_digest,pretty_digest", [
+    (["--n", "8", "--k", "0", "--root-of-unity", "6"],
+     "988b128b34efc9448f6d84c666e0e5b47507eb950720fd92211327d479e1384a",
+     "971b7fb454a7bb4469f6427a2463b5e1485d8d880e82197985a737ca29b36fa4"),
+    (["--n", "7", "--k", "1", "--generic", "--cap-override", "7"],
+     "c1345fb6a70a33f54f6901f48cfa2bf4db3187201d16ac43e0a6f39f848608d2",
+     "4a9676bae78ffa2137499a047d8a5f71cb5531a3ab3fcc61144a0bc69413210a"),
+])
+def test_gram_csv_and_pretty_bytes_pinned(args, csv_digest, pretty_digest):
+    """The csv matrix and the pretty report, byte for byte."""
+    for fmt, digest in (("csv", csv_digest), ("pretty", pretty_digest)):
+        res = _run(["gram", "--format", fmt] + args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest, fmt
 
 
 @pytest.mark.parametrize("m", [None, 3, 4, 5, 6, 8])
@@ -207,11 +226,32 @@ def test_gram_determinant_at_root():
 
 
 def test_gram_exits_nonzero_when_determinants_disagree(monkeypatch):
-    monkeypatch.setattr(cli, "gram_det_closed", lambda n, k, mode: mode.const(7))
-    for fmt in ("json", "pretty"):
-        res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--format", fmt])
-        assert res.exit_code == 1, fmt
-        assert "det_direct 1*q^-2 + 1*q^0 + 1*q^2 != det_closed 7*q^0" in res.stderr
+    # a wrong closed form of the dense (3, 1) block: the module's becomes 7
+    monkeypatch.setattr(gram, "det_gram_tl", lambda m, k: GENERIC.const(7 if m == 3 else 1))
+    for flag, direct in (([], "1*q^-2 + 1*q^0 + 1*q^2"), (["--root-of-unity", "6"], "0")):
+        for fmt in ("json", "pretty"):
+            res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--format", fmt]
+                                     + flag)
+            assert res.exit_code == 1, (flag, fmt)
+            assert "det_direct %s != det_closed 7*q^0" % direct in res.stderr, (flag, fmt)
+
+
+def test_gram_takes_one_determinant_product(monkeypatch):
+    """When every dense factor agrees with its closed form, one product serves both."""
+    calls = []
+
+    def spy(factors):
+        calls.append(factors)
+        return product(factors)
+
+    product = gram.laurent_product
+    monkeypatch.setattr(gram, "laurent_product", spy)
+    for flag in (["--generic"], ["--root-of-unity", "6"]):
+        calls.clear()
+        res = _run(["gram", "--n", "5", "--k", "1", "--format", "json"] + flag)
+        data = json.loads(res.output)
+        assert res.exit_code == 0 and data["det_direct"] == data["det_closed"]
+        assert len(calls) == 1, flag
 
 
 def test_gram_exits_nonzero_when_radical_disagrees(monkeypatch):

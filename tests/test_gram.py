@@ -10,7 +10,7 @@ from dilutetl.link_modules import (LinComb, LinkState, act, dim_standard,
                                    enumerate_links)
 from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
                            gram_blocks, gram_det_closed, gram_det_direct,
-                           gram_matrix, gram_nullity, gram_product,
+                           gram_determinants, gram_matrix, gram_nullity, gram_product,
                            radical_basis, tl_gram_matrix, _bareiss_det,
                            _dense_det, _dense_loops, _dense_nullspace,
                            _nullity_field, _nullspace_field, _pair_loops,
@@ -227,3 +227,13 @@ def test_generic_radical_empty():
     with pytest.raises(ValueError):
         gram_nullity(3, 1, GENERIC)
     assert dim_irreducible(4, 2) == dim_standard(4, 2)
+
+
+def test_gram_determinants_share_one_product():
+    """Agreeing factors give one determinant object, equal to both products."""
+    for mode in (GENERIC, root_of_unity(6)):
+        for n in range(7):
+            for k in range(n + 1):
+                direct, closed = gram_determinants(n, k, mode)
+                assert direct is closed, (n, k, mode)
+                assert direct == gram_det_direct(n, k, mode) == gram_det_closed(n, k, mode)
