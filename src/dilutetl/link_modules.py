@@ -353,8 +353,11 @@ def restriction_phi(v, k):
 def restriction_psi(v):
     """
     Remove the bottom site: None (zero) if it carries a defect or vacancy;
-    if it closes an arc, the arc's opening site becomes a defect.
+    if it closes an arc, the arc's opening site becomes a defect.  A
+    0-site state has no bottom site: ValueError.
     """
+    if not v.sites:
+        raise ValueError("a 0-site state has no bottom site to remove")
     last = v.sites[-1]
     if last in ("V", "D"):
         return None

@@ -13,12 +13,15 @@ to nonzero coefficient, and one set of operations: a `CycloElem` is a
 the cyclotomic ring reduces with q^m = 1 and then one memoised remainder of
 q^e for each e from phi(m) to m-1, and reads its other operand through
 `_lift`: an int, a Fraction or an element of the same ring, else
-TypeError.  The field adds only `inv`, division and negative powers.
-Constants and powers of q come only from a `QMode` (`zero`, `one`,
-`const`, `q_power`); its root-of-unity values (those, powers of beta,
-q-numbers) are images of the generic ones under the specialisation map
-`QMode.convert`.  `subs_fraction` and `parse` are generic-only and raise
-TypeError on a `CycloElem`.
+TypeError; the constructors take only integer exponents and int or
+Fraction coefficients.  The field adds only `inv`, division and negative
+powers.  A `QMode` is the one object of its ring (`GENERIC`, or one per
+m), so modes compare and hash by identity; it holds its zero and one and
+is the only source of constants and powers of q (`const`, `q_power`).
+Its root-of-unity values (those, powers of beta, q-numbers) are images
+of the generic ones under the specialisation map `QMode.convert`.
+`subs_fraction` and `parse` are generic-only and raise TypeError on a
+`CycloElem`.
 
 Coefficients are normalised when an element is built: an integral value is
 stored as a plain int and only a non-integral one as a Fraction.  Every
@@ -42,19 +45,22 @@ packing and read-back cost more than the dict-based `LaurentPoly.__mul__`
 saves, so that stays as it is.
 
 Ring elements are immutable: no operation writes to its operands, and no
-element's `coeffs` is changed after construction.  Memoised values (`beta`,
-`beta_power`, each mode's zero and one, the dense Gram blocks) and matrix
+element's `coeffs` is changed after construction.  Memoised values
+(`beta_power`, each mode's zero and one, the dense Gram blocks) and matrix
 cells therefore share element objects freely.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 
 def _norm(v):
-    """An exact coefficient: a plain int when integral, else a Fraction."""
+    """An int or Fraction coefficient, as a plain int when integral; else TypeError."""
     if type(v) is not int:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError("coefficient %r is not an int or a Fraction" % (v,))
         v = Fraction(v)
         if v.denominator == 1:
             v = v.numerator
@@ -78,9 +84,9 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _norm(v)
+                e, v = index(e), _norm(v)  # an int exponent, else TypeError
                 if v:
-                    c[int(e)] = v
+                    c[e] = v
         self.coeffs = c
 
     def is_zero(self):
@@ -427,7 +433,7 @@ class CycloElem(LaurentPoly):
         if m < 3:
             raise ValueError("m in {1,2} is rejected; q = +-1 is not a supported root mode")
         self.m = m
-        self.coeffs = _reduce(m, coeffs or {})
+        self.coeffs = _reduce(m, LaurentPoly(coeffs).coeffs)
 
     def _new(self, coeffs):
         out = CycloElem.__new__(CycloElem)
@@ -496,29 +502,33 @@ class QMode:
     """
     Coefficient-ring selector: either the generic Laurent ring or the
     cyclotomic field of a primitive m-th root of unity (with derived ell).
-    Values are immutable.
+    Every construction returns the one immutable mode of its ring, which
+    builds its zero and one when it is made; equality is identity.
     """
 
-    __slots__ = ("kind", "m", "ell")
+    __slots__ = ("kind", "m", "ell", "_zero", "_one")
+    _rings = {}  # (kind, m) -> the one mode of that ring
 
-    def __init__(self, kind, m=None):
+    def __new__(cls, kind, m=None):
         if kind not in ("generic", "root"):
             raise ValueError("unknown coefficient mode %r" % (kind,))
-        self.kind = kind
-        if kind == "root":
-            self.m = m
-            self.ell = ell_of(m)
-        else:
-            self.m = None
-            self.ell = None
+        key = (kind, m if kind == "root" else None)
+        mode = cls._rings.get(key)
+        if mode is None:
+            mode = object.__new__(cls)
+            mode.kind, mode.m = key
+            mode.ell = None if kind == "generic" else ell_of(m)
+            mode._zero, mode._one = mode.const(0), mode.const(1)
+            cls._rings[key] = mode
+        return mode
 
     def zero(self):
         """The zero of this mode's ring: one shared element per mode."""
-        return _constant(self.kind, self.m, 0)
+        return self._zero
 
     def one(self):
         """The one of this mode's ring: one shared element per mode."""
-        return _constant(self.kind, self.m, 1)
+        return self._one
 
     def const(self, v):
         return self.convert(LaurentPoly({0: v}))
@@ -534,27 +544,11 @@ class QMode:
         """
         return p if self.m is None else CycloElem(self.m, p.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, QMode) and (self.kind, self.m) == (other.kind, other.m)
-
-    def __hash__(self):
-        return hash((self.kind, self.m))
-
     def __repr__(self):
         return "QMode(generic)" if self.m is None else "QMode(root m=%d, ell=%d)" % (self.m, self.ell)
 
 
 GENERIC = QMode("generic")
-
-
-@lru_cache(maxsize=None)
-def _constant(kind, m, v):
-    """
-    The constant v of QMode(kind, m)'s ring, memoised per mode (see
-    `QMode.zero`).  Keyed by (kind, m), not by the mode, whose __hash__
-    runs Python code on each of the many one() lookups.
-    """
-    return QMode(kind, m).const(v)
 
 
 def root_of_unity(m):
@@ -572,10 +566,9 @@ def qnum(j, mode=GENERIC):
     return mode.convert(p)
 
 
-@lru_cache(maxsize=None)
 def beta(mode=GENERIC):
-    """The loop weight q + q^(-1), memoised per mode."""
-    return mode.convert(LaurentPoly({1: 1, -1: 1}))
+    """The loop weight q + q^(-1) of mode's ring: `beta_power(mode, 1)`."""
+    return beta_power(mode, 1)
 
 
 @lru_cache(maxsize=None)
@@ -585,4 +578,5 @@ def beta_power(mode, j):
     root of unity the image of the generic power, whose few terms reduce
     faster than a product of reduced (at large m, dense) elements.
     """
-    return beta() ** j if mode.m is None else mode.convert(beta_power(GENERIC, j))
+    return (mode.convert(beta_power(GENERIC, j)) if mode.m
+            else LaurentPoly({1: 1, -1: 1}) ** j)

@@ -10,7 +10,7 @@ dilute formulas with binomial multiplicities (`occupied_counts`).
 from functools import lru_cache
 from math import comb
 
-from .ring import GENERIC, qnum
+from .ring import laurent_product, qnum
 
 
 def dim_tl(n):
@@ -46,18 +46,16 @@ def det_gram_tl(n, k):
     """
     Closed form for the dense Gram determinant on (n, k) in the generic
     ring: a product of quantum-number ratios with multiplicities given by
-    standard-module dimensions.  The ratio product is a genuine Laurent
-    polynomial; the division is exact.  Memoised: the result is shared
-    between callers and must not be mutated.
+    standard-module dimensions.  Numerator and denominator are each one
+    `laurent_product`; their ratio is a genuine Laurent polynomial, so the
+    division is exact.  Memoised: the result is shared between callers and
+    must not be mutated.
     """
     if dim_v(n, k) == 0:
         raise ValueError("empty module")
-    num = GENERIC.one()
-    den = GENERIC.one()
-    for j in range(1, (n - k) // 2 + 1):
-        e = dim_v(n, k + 2 * j)
-        num = num * qnum(k + j + 1) ** e
-        den = den * qnum(j) ** e
+    es = [(j, dim_v(n, k + 2 * j)) for j in range(1, (n - k) // 2 + 1)]
+    num = laurent_product((qnum(k + j + 1), e) for j, e in es)
+    den = laurent_product((qnum(j), e) for j, e in es)
     return num.exact_div(den)
 
 

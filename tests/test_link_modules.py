@@ -179,6 +179,11 @@ def test_restriction_exactness():
             assert onto == set(enumerate_links(n - 1, k + 1))
 
 
+def test_restriction_psi_of_empty_state_raises():
+    with pytest.raises(ValueError, match="0-site state has no bottom site"):
+        restriction_psi(LinkState(()))
+
+
 def test_induced_basis_counts_and_bijection():
     for n in range(1, 7):
         for k in range(n + 1):

@@ -9,10 +9,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, beta,
-                           cyclotomic_poly, ell_of, laurent_product, qnum,
-                           real_beta_power, real_cyclotomic_poly,
-                           root_of_unity)
+from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, QMode, beta,
+                           beta_power, cyclotomic_poly, ell_of,
+                           laurent_product, qnum, real_beta_power,
+                           real_cyclotomic_poly, root_of_unity)
 from dilutetl.diagram_core import all_generators
 from dilutetl.link_modules import LinComb, enumerate_links
 
@@ -217,6 +217,44 @@ def test_ell_of(m, ell):
 def test_beta_generic():
     assert beta() == LaurentPoly({1: 1, -1: 1})
     assert beta(root_of_unity(4)).is_zero()  # q = i gives loop weight zero
+
+
+def test_one_mode_object_per_ring():
+    """Every construction of a mode returns the one object for its ring."""
+    m6 = root_of_unity(6)
+    assert root_of_unity(6) is m6
+    assert QMode("root", 6) is m6 and QMode("root", m=6) is m6
+    assert QMode("generic") is GENERIC
+    assert root_of_unity(12) is not m6 and root_of_unity(12) != m6
+    assert m6 != GENERIC and len({GENERIC, m6, root_of_unity(6)}) == 2
+    for mode in (GENERIC, m6, root_of_unity(8)):
+        assert mode.zero() is mode.zero() and mode.one() is mode.one()
+
+
+@pytest.mark.parametrize("m", [None, 3, 6, 8])
+def test_beta_is_the_first_beta_power(m):
+    mode = GENERIC if m is None else root_of_unity(m)
+    assert beta(mode) is beta_power(mode, 1)
+    assert beta(mode) == mode.q_power(1) + mode.q_power(-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly({2.9: 1}),
+    lambda: LaurentPoly({"2": 1}),
+    lambda: LaurentPoly({1.5: 0}),
+    lambda: GENERIC.q_power(1.5),
+    lambda: CycloElem(6, {1.5: 1}),
+    lambda: root_of_unity(6).q_power(2.0),
+    lambda: GENERIC.const(0.1),
+    lambda: LaurentPoly({0: "1"}),
+    lambda: CycloElem(6, {0: 0.0}),
+    lambda: CycloElem(6, {7: 2.0}),
+    lambda: root_of_unity(6).const(0.5),
+])
+def test_constructors_reject_inexact_exponents_and_coefficients(build):
+    """Exponents are integers, coefficients ints or Fractions: no floats."""
+    with pytest.raises(TypeError):
+        build()
 
 
 @pytest.mark.parametrize("m", [None, 5, 6])
