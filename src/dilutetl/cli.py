@@ -6,9 +6,12 @@ Commands: `dims` (standard-module dimension table), `irr` (irreducible
 dimension table, computed three independent ways), `gram` (matrix,
 determinants and radical for one module) and `verify` (named invariant
 suites with machine-readable verdicts).  Every command exits nonzero if
-any internal cross-check fails.
+any internal cross-check fails (status 1); a command line they cannot run
+is a usage error (status 2).  The parser is the standard library's
+argparse, built once at import.
 """
 
+import argparse
 import json
 import os
 import random
@@ -16,8 +19,6 @@ import re
 import sys
 from functools import lru_cache
 from itertools import chain
-
-import click
 
 from .ring import GENERIC, CrossCheckError, LaurentPoly, beta, root_of_unity
 from .diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
@@ -51,6 +52,103 @@ def _motzkin(n):
                                  for k in range(n - 1))
 
 
+class UsageError(Exception):
+    """A command line the commands cannot run: `main` exits 2 with its usage."""
+
+    parser = None  # the parser that rejected it, if argparse did
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        exc = UsageError(message)
+        exc.parser = self
+        raise exc
+
+
+class _Main:
+    """
+    The `dilutetl` command line, one argparse parser with a subcommand per
+    decorated function.  main() runs sys.argv[1:] (the console script and
+    python -m dilutetl.cli); main.main(args) runs a list in-process.
+    """
+
+    def __init__(self, description):
+        self.parser = _Parser(prog="dilutetl", description=description, allow_abbrev=False)
+        self.commands = self.parser.add_subparsers(dest="command", required=True,
+                                                   metavar="COMMAND")
+
+    def command(self, *options):
+        """Register a function as the subcommand of its name, with (flags, kwargs) options."""
+        def register(func):
+            sub = self.commands.add_parser(func.__name__, help=func.__doc__,
+                                           description=func.__doc__, allow_abbrev=False)
+            for flags, kwargs in options:
+                sub.add_argument(*flags, **kwargs)
+            sub.set_defaults(run=func)
+            return func
+        return register
+
+    def __call__(self):
+        self.main()
+
+    def main(self, args=None, prog_name="dilutetl", standalone_mode=True):
+        """
+        Run one command line (a list; None reads sys.argv[1:]).  A failed
+        cross-check raises SystemExit(1).  A usage error prints the usage
+        and exits 2, or with standalone_mode False raises UsageError.
+        """
+        if prog_name != self.parser.prog:
+            self.parser.prog = prog_name
+            for name, sub in self.commands.choices.items():
+                sub.prog = "%s %s" % (prog_name, name)
+        parser = self.parser
+        try:
+            opts = vars(parser.parse_args(args))
+            parser = self.commands.choices[opts.pop("command")]
+            opts.pop("run")(**opts)
+            sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        except UsageError as exc:
+            if not standalone_mode:
+                raise
+            parser = exc.parser or parser
+            sys.stdout.flush()
+            sys.stderr.write("%s%s: error: %s\n" % (parser.format_usage(), parser.prog, exc))
+            sys.exit(2)
+        except BrokenPipeError:  # the reader went away: exit 1 without a traceback
+            if not standalone_mode:
+                raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+
+main = _Main("Exact computations in the dilute diagram algebra.")
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _count(text):
+    """The type of a count option: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("%r is not an integer >= 0" % text)
+    return int(text)
+
+
+def _format(default):
+    return _option("--format", dest="fmt", choices=["json", "csv", "pretty"],
+                   default=default, help="[default: %(default)s]")
+
+
+def _fail(message):
+    """Report a failed cross-check on stderr, after the output, and exit 1."""
+    sys.stdout.flush()
+    sys.stderr.write(message + "\n")
+    sys.exit(1)
+
+
 def _load_golden(name):
     with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
         return fh.read()
@@ -58,12 +156,12 @@ def _load_golden(name):
 
 def _mode_from_flags(generic, m):
     if generic and m is not None:
-        raise click.UsageError("--generic and --root-of-unity are exclusive")
+        raise UsageError("--generic and --root-of-unity are exclusive")
     if m is not None:
         if m < 3:
-            raise click.UsageError("--root-of-unity requires m >= 3")
+            raise UsageError("--root-of-unity requires m >= 3")
         if m > MAX_ROOT_ORDER:
-            raise click.UsageError("--root-of-unity is capped at m = %d"
+            raise UsageError("--root-of-unity is capped at m = %d"
                                    % MAX_ROOT_ORDER)
         return root_of_unity(m)
     return GENERIC
@@ -71,7 +169,7 @@ def _mode_from_flags(generic, m):
 
 def _check_n_max(n_max, cap):
     if not 0 <= n_max <= cap:
-        raise click.UsageError("--n-max must be between 0 and %d" % cap)
+        raise UsageError("--n-max must be between 0 and %d" % cap)
 
 
 def _table_csv(rows):
@@ -89,15 +187,14 @@ def _table_pretty(rows, title):
 def _emit(fmt, rows, title, extra):
     """Render a jagged dimension table in the requested format."""
     if fmt == "csv":
-        click.echo(_table_csv(rows), nl=False)
+        sys.stdout.write(_table_csv(rows))
     elif fmt == "pretty":
-        click.echo(_table_pretty(rows, title), nl=False)
-        for key, val in extra.items():
-            click.echo("%s: %s" % (key, val))
+        sys.stdout.write(_table_pretty(rows, title))
+        sys.stdout.writelines("%s: %s\n" % item for item in extra.items())
     else:
         payload = {"title": title, "rows": [list(r) for r in rows]}
         payload.update(extra)
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _json_cell(v):
@@ -135,27 +232,10 @@ def _splice(doc, arrays):
         yield text
 
 
-def _write(parts):
-    """
-    Echo text parts in turn, without joining them into one copy and
-    without click's ANSI stripping (the text holds no escapes, and
-    stripping copies it).
-    """
-    for part in parts:
-        click.echo(part, nl=False, color=True)
-
-
-@click.group()
-def main():
-    """Exact computations in the dilute diagram algebra."""
-
-
-@main.command()
-@click.option("--n-max", type=int, required=True, help="largest size to tabulate")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
-              default="csv", show_default=True)
-@click.option("--cap-override", type=click.IntRange(min=0), default=None,
-              help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP)
+@main.command(_option("--n-max", type=int, required=True, help="largest size to tabulate"),
+              _format("csv"),
+              _option("--cap-override", type=_count,
+                      help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP))
 def dims(n_max, fmt, cap_override):
     """Standard-module dimension table for sizes 0..n-max."""
     _check_n_max(n_max, cap_override if cap_override is not None
@@ -173,18 +253,15 @@ def dims(n_max, fmt, cap_override):
           if fmt != "pretty" else
           {"totals": " ".join("M_%d=%d" % (2 * t["n"], t["motzkin"]) for t in totals)})
     if failed:
-        click.echo("sum-of-squares / Motzkin mismatch", err=True)
-        sys.exit(1)
+        _fail("sum-of-squares / Motzkin mismatch")
 
 
-@main.command()
-@click.option("--n-max", type=int, required=True)
-@click.option("--root-of-unity", "m", type=int, required=True,
-              help="order m >= 3 of the root of unity")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
-              default="csv", show_default=True)
-@click.option("--nullity-n-max", type=click.IntRange(min=0), default=7, show_default=True,
-              help="largest size for the Gram-nullity cross-check")
+@main.command(_option("--n-max", type=int, required=True),
+              _option("--root-of-unity", dest="m", type=int, required=True,
+                      help="order m >= 3 of the root of unity"),
+              _format("csv"),
+              _option("--nullity-n-max", type=_count, default=7,
+                      help="largest size for the Gram-nullity cross-check [default: %(default)s]"))
 def irr(n_max, m, fmt, nullity_n_max):
     """Irreducible dimension table, cross-checked three independent ways."""
     mode = _mode_from_flags(False, m)
@@ -208,31 +285,28 @@ def irr(n_max, m, fmt, nullity_n_max):
           {"mismatches": mismatches} if fmt != "pretty" else
           {"mismatches": len(mismatches)})
     if mismatches:
-        click.echo("cross-check mismatch: %s" % mismatches, err=True)
-        sys.exit(1)
+        _fail("cross-check mismatch: %s" % mismatches)
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--generic", is_flag=True, default=False)
-@click.option("--root-of-unity", "m", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
-              default="pretty", show_default=True)
-@click.option("--cap-override", type=click.IntRange(min=0), default=None,
-              help="raise the symbolic-determinant size cap (default 5)")
+@main.command(_option("--n", type=int, required=True),
+              _option("--k", type=int, required=True),
+              _option("--generic", action="store_true"),
+              _option("--root-of-unity", dest="m", type=int),
+              _format("pretty"),
+              _option("--cap-override", type=_count,
+                      help="raise the symbolic-determinant size cap (default 5)"))
 def gram(n, k, generic, m, fmt, cap_override):
     """Gram matrix, determinants and radical of one standard module."""
     mode = _mode_from_flags(generic, m)
     if not 0 <= k <= n:
-        raise click.UsageError("need 0 <= k <= n")
+        raise UsageError("need 0 <= k <= n")
     if n > 8:
-        raise click.UsageError("matrix output capped at n = 8")
+        raise UsageError("matrix output capped at n = 8")
     det_cap = cap_override if cap_override is not None else DEFAULT_DET_CAP
     cell, sep = (_json_cell if fmt == "json" else str), _CELL_SEP[fmt]
     matrix = row_texts(n, k, mode, cell, sep)
     if fmt == "csv":
-        _write(["\n".join(matrix), "\n"])
+        sys.stdout.writelines(["\n".join(matrix), "\n"])
         return
     # the three arrays are spliced into the JSON text in place of markers
     out = {"n": n, "k": k,
@@ -260,16 +334,15 @@ def gram(n, k, generic, m, fmt, cap_override):
                                         % (e, occ, s) for s, e, occ in gram_blocks(n, k)),
                                        "{}"),
                   "matrix": _json_rows(matrix), "radical_basis": _json_rows(rad)}
-        _write(_splice(json.dumps(out, indent=2, sort_keys=True) + "\n", arrays))
+        sys.stdout.writelines(_splice(json.dumps(out, indent=2, sort_keys=True) + "\n", arrays))
     else:
         head = ["module (n=%d, k=%d), dim %d, mode %s" % (n, k, out["dim"], mode)]
         head += ["block [%d:%d) occupied=%d" % block for block in gram_blocks(n, k)]
         tail = ["%s: %s" % (key, out[key])
                 for key in ("det_direct", "det_closed", "radical_dim") if key in out]
-        _write(["\n".join(chain(head, matrix, tail)), "\n"])
+        sys.stdout.writelines(["\n".join(chain(head, matrix, tail)), "\n"])
     if failures:
-        click.echo("cross-check mismatch: %s" % "; ".join(failures), err=True)
-        sys.exit(1)
+        _fail("cross-check mismatch: %s" % "; ".join(failures))
 
 
 def _suite_algebra(rng):
@@ -443,10 +516,9 @@ _SUITES = {
 }
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(sorted(_SUITES) + ["all"]))
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="seed for the randomized spot checks")
+@main.command(_option("suite", choices=sorted(_SUITES) + ["all"]),
+              _option("--seed", type=int, default=0,
+                      help="seed for the randomized spot checks [default: %(default)s]"))
 def verify(suite, seed):
     """Run the named invariant suite and print JSON verdicts."""
     names = sorted(_SUITES) if suite == "all" else [suite]
@@ -457,9 +529,10 @@ def verify(suite, seed):
             verdicts.append({"suite": name, "check": check,
                              "pass": bool(passed)})
     all_pass = all(v["pass"] for v in verdicts)
-    click.echo(json.dumps({"seed": seed, "verdicts": verdicts,
-                           "all_pass": all_pass}, indent=2, sort_keys=True))
-    sys.exit(0 if all_pass else 1)
+    sys.stdout.write(json.dumps({"seed": seed, "verdicts": verdicts,
+                                 "all_pass": all_pass}, indent=2, sort_keys=True) + "\n")
+    if not all_pass:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

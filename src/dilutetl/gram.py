@@ -59,9 +59,9 @@ for the command line's output.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from .ring import (GENERIC, beta, beta_power, laurent_product,
+from .ring import (GENERIC, LaurentPoly, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
 from .link_modules import dim_standard, enumerate_dense_links, site_nodes
@@ -265,11 +265,15 @@ def _dense_det_beta(m, k):
 
 @lru_cache(maxsize=None)
 def _dense_det(m, k):
-    """Determinant of the dense (m, k) Gram block as a Laurent polynomial."""
-    det, b = GENERIC.zero(), beta()
-    for c in reversed(_dense_det_beta(m, k)):
-        det = det * b + c  # Horner's rule in beta
-    return det
+    """
+    Determinant of the dense (m, k) Gram block as a Laurent polynomial:
+    sum c_j beta^j expanded in integers, beta^j = sum C(j, i) q^(j - 2i).
+    """
+    coeffs = {}
+    for j, c in enumerate(_dense_det_beta(m, k)):
+        for i in range(j + 1) if c else ():
+            coeffs[j - 2 * i] = coeffs.get(j - 2 * i, 0) + c * comb(j, i)
+    return LaurentPoly(coeffs)
 
 
 def gram_det_direct(n, k, mode=GENERIC):
@@ -390,7 +394,7 @@ def _bareiss(rows, psi):
     levels, every stored row is the Bareiss row of its level, so every
     division is exact.  Zero rows and eliminated columns are dropped.
     """
-    pivots, table = [], None  # the pivot of each level; the last one's table
+    pivots = []  # the pivot of each level
     rows = [(-1, row) for row in rows if any(map(any, row))]
     echelon, sign, col = [], 1, -1
     while rows and rows[0][1][0]:  # a nonzero row and a column are left
@@ -402,21 +406,16 @@ def _bareiss(rows, psi):
         t, prow = rows.pop(piv)
         sign = -sign if piv % 2 else sign
         if t < len(pivots) - 1:
-            prow = _sum_of_products([(table, prow)])
-            if t >= 0:
-                prow = _divide(prow, pivots[t], psi)
+            prow = _combine([(pivots[-1], prow)], t, pivots, psi)
         echelon.append((col, prow))
         pivots.append(tuple(c[0] for c in prow))
-        table = _times_table(pivots[-1], psi)
         ptail = [c[1:] for c in prow]
         kept = []
         for t, row in rows:
             tail = [c[1:] for c in row]
             f = tuple(-c[0] for c in row)
             if any(f):
-                tail = _sum_of_products([(table, tail), (_times_table(f, psi), ptail)])
-                if t >= 0:
-                    tail = _divide(tail, pivots[t], psi)
+                tail = _combine([(pivots[-1], tail), (f, ptail)], t, pivots, psi)
                 if not any(map(any, tail)):
                     continue  # the row is now zero
                 t = len(pivots) - 1
@@ -425,12 +424,28 @@ def _bareiss(rows, psi):
     return echelon, sign
 
 
-def _divide(planes, p, psi):
-    """Cells as d coordinate lists divided exactly by p: (a * p*) // D, or a // p at d = 1."""
-    if len(p) == 1:
-        return [[v // p[0] for v in plane] for plane in planes]
-    table, den = _divider(p, psi)
-    return [[v // den for v in plane] for plane in _sum_of_products([(table, planes)])]
+def _combine(terms, t, pivots, psi):
+    """
+    The sum of a*u over the (a, u) pairs of terms (a in Z[x]/(psi), u cells
+    as d coordinate lists) divided exactly by the pivot p_t of level t, none
+    at t = -1: a plain // p_t at d = 1, else the division is folded into the
+    scalars, (sum of (s*a)*u) // D with s*p_t = D in Z (`_divider`), so each
+    u is read once.
+    """
+    den = 1
+    if t >= 0:
+        if len(psi) == 2:
+            den = pivots[t][0]
+        else:
+            star, den = _divider(pivots[t], psi)
+            terms = [(_apply(star, a), u) for a, u in terms]
+    out = _sum_of_products([(_times_table(a, psi), u) for a, u in terms])
+    return out if den == 1 else [[v // den for v in plane] for plane in out]
+
+
+def _apply(table, a):
+    """The coordinates of t*a, for the multiplication table of t."""
+    return tuple(sum(x * y for x, y in zip(row, a)) for row in table)
 
 
 def _times_table(a, psi):
@@ -484,7 +499,8 @@ def _dense_nullspace(occ, k, mode):
     column 0, by back-substitution from the last pivot row up, x_pc =
     -p^-1 * sum(a_c x_c) over Q(beta).  All free columns are solved side
     by side, each x_c a list of d coordinate lists with one entry per
-    vector; -p^-1 is (-p)* / D (`_divider`).  The vectors are those of
+    vector; -p^-1 is s / D with s*(-p) = D in Z (`_divider`), and s is
+    folded into each a_c before the sum.  The vectors are those of
     `_nullspace_field` (see the module docstring).
     """
     echelon = _dense_echelon(occ, k, mode.m)
@@ -498,11 +514,10 @@ def _dense_nullspace(occ, k, mode):
               for i in range(len(psi) - 1)] for j, fc in enumerate(free)}
     for pc, planes in reversed(echelon):
         cells = list(zip(*planes))
-        terms = [(_times_table(a, psi), x[pc + c]) for c, a in enumerate(cells)
+        star, den = _divider(tuple(-v for v in cells[0]), psi)
+        terms = [(_times_table(_apply(star, a), psi), x[pc + c]) for c, a in enumerate(cells)
                  if c and any(a)]
-        table, den = _divider(tuple(-v for v in cells[0]), psi)
-        x[pc] = ([[Fraction(v, den) for v in plane]
-                  for plane in _sum_of_products([(table, _sum_of_products(terms))])]
+        x[pc] = ([[Fraction(v, den) for v in plane] for plane in _sum_of_products(terms)]
                  if terms else [[0] * len(free) for _ in psi[1:]])
     made = {}
 

@@ -1,10 +1,14 @@
 """Shared independent oracles and small utilities for the test suite."""
 
+import contextlib
+import io
 import json
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from dilutetl import cli
 from dilutetl.ring import GENERIC, beta_power
 from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, glue,
                                    multiply_diagrams_raw)
@@ -195,3 +199,22 @@ def gram_output(n, k, mode, fmt, det_cap=5):
     lines += ["%s: %s" % (key, out[key])
               for key in ("det_direct", "det_closed", "radical_dim") if key in out]
     return "".join(line + "\n" for line in lines)
+
+
+CliResult = namedtuple("CliResult", "exit_code output stderr")
+
+
+def run_cli(args):
+    """
+    Run the command line in-process as the console script would: the exit
+    status, `output` (stdout, then stderr, which every command writes only
+    after its stdout) and stderr alone.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main.main(args)
+        except SystemExit as exc:
+            exit_code = 0 if exc.code is None else exc.code
+    return CliResult(exit_code, out.getvalue() + err.getvalue(), err.getvalue())

@@ -7,21 +7,19 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import gram_output, motzkin
+from helpers import gram_output, motzkin, run_cli as _run
 
 from dilutetl import cli, gram
-from dilutetl.cli import main
+from dilutetl.cli import UsageError, main
 from dilutetl.ring import GENERIC, root_of_unity
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 GOLDEN_DIR = os.path.join(SRC, "dilutetl", "goldens")
-
-
-def _run(args, env=None):
-    return CliRunner().invoke(main, args, env=env, catch_exceptions=False)
+# for the tests that run the command line as a fresh process
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def _golden_text(name):
@@ -93,12 +91,9 @@ def test_irr_nullity_at_nine_sites(m):
     grow with every pivot; run as a process with a timeout, so a relapse
     fails instead of stalling.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run([sys.executable, "-m", "dilutetl.cli", "irr", "--n-max", "9",
                           "--root-of-unity", str(m), "--nullity-n-max", "9",
-                          "--format", "json"], env=env, capture_output=True,
+                          "--format", "json"], env=_ENV, capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["mismatches"] == []
@@ -124,7 +119,9 @@ def test_irr_n_max_out_of_range(n_max, fmt):
      "--nullity-n-max")])
 def test_negative_counts_are_usage_errors(args, option):
     res = _run(args)
-    assert res.exit_code == 2 and "Invalid value for '%s'" % option in res.output
+    value = args[args.index(option) + 1]
+    assert res.exit_code == 2
+    assert "argument %s: '%s' is not an integer >= 0" % (option, value) in res.stderr
 
 
 def test_gram_small_determinants():
@@ -230,8 +227,7 @@ def test_gram_exits_nonzero_when_determinants_disagree(monkeypatch):
     monkeypatch.setattr(gram, "det_gram_tl", lambda m, k: GENERIC.const(7 if m == 3 else 1))
     for flag, direct in (([], "1*q^-2 + 1*q^0 + 1*q^2"), (["--root-of-unity", "6"], "0")):
         for fmt in ("json", "pretty"):
-            res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--format", fmt]
-                                     + flag)
+            res = _run(["gram", "--n", "3", "--k", "1", "--format", fmt] + flag)
             assert res.exit_code == 1, (flag, fmt)
             assert "det_direct %s != det_closed 7*q^0" % direct in res.stderr, (flag, fmt)
 
@@ -256,7 +252,7 @@ def test_gram_takes_one_determinant_product(monkeypatch):
 
 def test_gram_exits_nonzero_when_radical_disagrees(monkeypatch):
     monkeypatch.setattr(cli, "dim_irreducible_formula", lambda n, k, ell: 0)
-    res = CliRunner().invoke(main, ["gram", "--n", "3", "--k", "1", "--root-of-unity", "6"])
+    res = _run(["gram", "--n", "3", "--k", "1", "--root-of-unity", "6"])
     assert res.exit_code == 1
     assert "radical_dim 1 != dim_standard - dim_irreducible_formula 5" in res.stderr
 
@@ -286,9 +282,56 @@ def _cli_args(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_cli_args())
 def test_cli_input_gives_an_exit_code_not_a_traceback(args):
-    res = CliRunner().invoke(main, args)
+    res = _run(args)  # any exception but SystemExit propagates and fails the test
     assert res.exit_code in (0, 1, 2), (args, res.output)
-    assert res.exception is None or isinstance(res.exception, SystemExit), args
+
+
+def test_option_abbreviations_are_usage_errors():
+    res = _run(["gram", "--n", "2", "--k", "0", "--gen"])
+    assert res.exit_code == 2 and "unrecognized arguments: --gen" in res.stderr
+
+
+def test_in_process_call_without_standalone_mode(monkeypatch):
+    """As the benchmark calls it: success returns, a mismatch exits 1, bad input raises."""
+    args = ["gram", "--n", "3", "--k", "1", "--format", "json"]
+    assert main.main(args, standalone_mode=False) is None
+    with pytest.raises(UsageError, match="need 0 <= k <= n"):
+        main.main(["gram", "--k", "5", "--n", "3"], standalone_mode=False)
+    with pytest.raises(UsageError):
+        main.main(["gram", "--n", "3"], standalone_mode=False)
+    monkeypatch.setattr(gram, "det_gram_tl", lambda m, k: GENERIC.const(7))
+    with pytest.raises(SystemExit) as exc:
+        main.main(args, standalone_mode=False)
+    assert exc.value.code == 1
+
+
+def test_usage_error_names_the_program(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main.main(["gram", "--n", "3"], prog_name="tl")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: tl gram ")
+    assert _run(["gram", "--n", "3"]).stderr.startswith("usage: dilutetl gram ")
+
+
+def test_import_loads_no_third_party_cli_library():
+    """The command line is standard-library argparse: importing it loads no click."""
+    res = subprocess.run([sys.executable, "-c", "import sys, dilutetl.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"],
+                         env=_ENV, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    """A reader that stops early (as `| head` does) ends the command quietly."""
+    # 1.8 MB of output, more than a pipe holds, so a write must fail
+    proc = subprocess.Popen([sys.executable, "-m", "dilutetl.cli", "gram", "--n", "8", "--k", "0",
+                             "--root-of-unity", "6", "--format", "json"], env=_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_gram_mode_flags_exclusive():
@@ -322,11 +365,8 @@ def test_verify_all_exit_zero():
 
 def test_verify_all_under_optimize():
     """No verdict leans on an assert, which python -O strips."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run([sys.executable, "-O", "-m", "dilutetl.cli", "verify",
-                          "all", "--seed", "0"], env=env, capture_output=True,
+                          "all", "--seed", "0"], env=_ENV, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stdout[-2000:] + res.stderr
     assert json.loads(res.stdout)["all_pass"]
