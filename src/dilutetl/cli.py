@@ -98,11 +98,9 @@ class _Main:
         Run one command line (a list; None reads sys.argv[1:]).  A failed
         cross-check raises SystemExit(1).  A usage error prints the usage
         and exits 2, or with standalone_mode False raises UsageError.
+        prog_name is taken for click's call signature; the usage line
+        always names dilutetl.
         """
-        if prog_name != self.parser.prog:
-            self.parser.prog = prog_name
-            for name, sub in self.commands.choices.items():
-                sub.prog = "%s %s" % (prog_name, name)
         parser = self.parser
         try:
             opts = vars(parser.parse_args(args))
@@ -131,10 +129,14 @@ def _option(*flags, **kwargs):
 
 
 def _count(text):
-    """The type of a count option: an int >= 0."""
-    if not text.isdecimal():
+    """The type of a count option: an int >= 0, in any form int() reads."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError("%r is not an integer >= 0" % text)
-    return int(text)
+    return value
 
 
 def _format(default):

@@ -406,16 +406,21 @@ def _bareiss(rows, psi):
         t, prow = rows.pop(piv)
         sign = -sign if piv % 2 else sign
         if t < len(pivots) - 1:
-            prow = _combine([(pivots[-1], prow)], t, pivots, psi)
+            table, den = _scaled(pivots[-1], t, pivots, psi)
+            prow = _exact(_sum_of_products([(table, prow)]), den)
         echelon.append((col, prow))
         pivots.append(tuple(c[0] for c in prow))
         ptail = [c[1:] for c in prow]
-        kept = []
+        heads, kept = {}, []  # heads: level t -> _scaled(p, t) for this pivot p
         for t, row in rows:
             tail = [c[1:] for c in row]
             f = tuple(-c[0] for c in row)
             if any(f):
-                tail = _combine([(pivots[-1], tail), (f, ptail)], t, pivots, psi)
+                if t not in heads:
+                    heads[t] = _scaled(pivots[-1], t, pivots, psi)
+                table, den = heads[t]
+                tail = _exact(_sum_of_products(
+                    [(table, tail), (_scaled(f, t, pivots, psi)[0], ptail)]), den)
                 if not any(map(any, tail)):
                     continue  # the row is now zero
                 t = len(pivots) - 1
@@ -424,23 +429,22 @@ def _bareiss(rows, psi):
     return echelon, sign
 
 
-def _combine(terms, t, pivots, psi):
+def _scaled(a, t, pivots, psi):
     """
-    The sum of a*u over the (a, u) pairs of terms (a in Z[x]/(psi), u cells
-    as d coordinate lists) divided exactly by the pivot p_t of level t, none
-    at t = -1: a plain // p_t at d = 1, else the division is folded into the
-    scalars, (sum of (s*a)*u) // D with s*p_t = D in Z (`_divider`), so each
-    u is read once.
+    (table of s*a, D) for a in Z[x]/(psi) and the pivot p_t of level t,
+    so that a*u / p_t = ((s*a)*u) // D for cells u (d coordinate lists):
+    s = 1 and D = 1 at t = -1, s = 1 and D = p_t at d = 1, else s*p_t = D
+    in Z (`_divider`).  Folding s into the scalar reads each u once.
     """
-    den = 1
-    if t >= 0:
-        if len(psi) == 2:
-            den = pivots[t][0]
-        else:
-            star, den = _divider(pivots[t], psi)
-            terms = [(_apply(star, a), u) for a, u in terms]
-    out = _sum_of_products([(_times_table(a, psi), u) for a, u in terms])
-    return out if den == 1 else [[v // den for v in plane] for plane in out]
+    if t < 0 or len(psi) == 2:
+        return _times_table(a, psi), (pivots[t][0] if t >= 0 else 1)
+    star, den = _divider(pivots[t], psi)
+    return _times_table(_apply(star, a), psi), den
+
+
+def _exact(planes, den):
+    """Cells as d coordinate lists, each entry divided exactly by the integer den."""
+    return planes if den == 1 else [[v // den for v in plane] for plane in planes]
 
 
 def _apply(table, a):
