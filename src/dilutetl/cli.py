@@ -7,8 +7,8 @@ dimension table, computed three independent ways), `gram` (matrix,
 determinants and radical for one module) and `verify` (named invariant
 suites with machine-readable verdicts).  Every command exits nonzero if
 any internal cross-check fails (status 1); a command line they cannot run
-is a usage error (status 2).  The parser is the standard library's
-argparse, built once at import.
+is a usage error (status 2).  `main` runs one command line on a single
+argparse parser, built at import; `_command` adds each command to it.
 """
 
 import argparse
@@ -67,61 +67,52 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
-class _Main:
+_PARSER = _Parser(prog="dilutetl", allow_abbrev=False,
+                  description="Exact computations in the dilute diagram algebra.")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+
+def _command(*options):
+    """Register a function as the subcommand of its name, with (flags, kwargs) options."""
+    def register(func):
+        sub = _COMMANDS.add_parser(func.__name__, help=func.__doc__,
+                                   description=func.__doc__, allow_abbrev=False)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=func)
+        return func
+    return register
+
+
+def main(args=None, prog_name="dilutetl", standalone_mode=True):
     """
-    The `dilutetl` command line, one argparse parser with a subcommand per
-    decorated function.  main() runs sys.argv[1:] (the console script and
-    python -m dilutetl.cli); main.main(args) runs a list in-process.
+    Run one `dilutetl` command line: a list, or None for sys.argv[1:] (the
+    console script and python -m dilutetl.cli).  A failed cross-check
+    raises SystemExit(1).  A usage error prints the usage and exits 2, or
+    with standalone_mode False raises UsageError.  prog_name is accepted
+    for click's call signature; the usage line always names dilutetl.
     """
-
-    def __init__(self, description):
-        self.parser = _Parser(prog="dilutetl", description=description, allow_abbrev=False)
-        self.commands = self.parser.add_subparsers(dest="command", required=True,
-                                                   metavar="COMMAND")
-
-    def command(self, *options):
-        """Register a function as the subcommand of its name, with (flags, kwargs) options."""
-        def register(func):
-            sub = self.commands.add_parser(func.__name__, help=func.__doc__,
-                                           description=func.__doc__, allow_abbrev=False)
-            for flags, kwargs in options:
-                sub.add_argument(*flags, **kwargs)
-            sub.set_defaults(run=func)
-            return func
-        return register
-
-    def __call__(self):
-        self.main()
-
-    def main(self, args=None, prog_name="dilutetl", standalone_mode=True):
-        """
-        Run one command line (a list; None reads sys.argv[1:]).  A failed
-        cross-check raises SystemExit(1).  A usage error prints the usage
-        and exits 2, or with standalone_mode False raises UsageError.
-        prog_name is taken for click's call signature; the usage line
-        always names dilutetl.
-        """
-        parser = self.parser
-        try:
-            opts = vars(parser.parse_args(args))
-            parser = self.commands.choices[opts.pop("command")]
-            opts.pop("run")(**opts)
-            sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
-        except UsageError as exc:
-            if not standalone_mode:
-                raise
-            parser = exc.parser or parser
-            sys.stdout.flush()
-            sys.stderr.write("%s%s: error: %s\n" % (parser.format_usage(), parser.prog, exc))
-            sys.exit(2)
-        except BrokenPipeError:  # the reader went away: exit 1 without a traceback
-            if not standalone_mode:
-                raise
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(1)
+    parser = _PARSER
+    try:
+        opts = vars(parser.parse_args(args))
+        parser = _COMMANDS.choices[opts.pop("command")]
+        opts.pop("run")(**opts)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        parser = exc.parser or parser
+        sys.stdout.flush()
+        sys.stderr.write("%s%s: error: %s\n" % (parser.format_usage(), parser.prog, exc))
+        sys.exit(2)
+    except BrokenPipeError:  # the reader went away: exit 1 without a traceback
+        if not standalone_mode:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
-main = _Main("Exact computations in the dilute diagram algebra.")
+main.main = main  # the in-process call perfbench/worker.py makes
 
 
 def _option(*flags, **kwargs):
@@ -234,10 +225,10 @@ def _splice(doc, arrays):
         yield text
 
 
-@main.command(_option("--n-max", type=int, required=True, help="largest size to tabulate"),
-              _format("csv"),
-              _option("--cap-override", type=_count,
-                      help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP))
+@_command(_option("--n-max", type=int, required=True, help="largest size to tabulate"),
+          _format("csv"),
+          _option("--cap-override", type=_count,
+                  help="raise the size cap (default %d)" % DEFAULT_TABLE_CAP))
 def dims(n_max, fmt, cap_override):
     """Standard-module dimension table for sizes 0..n-max."""
     _check_n_max(n_max, cap_override if cap_override is not None
@@ -258,12 +249,12 @@ def dims(n_max, fmt, cap_override):
         _fail("sum-of-squares / Motzkin mismatch")
 
 
-@main.command(_option("--n-max", type=int, required=True),
-              _option("--root-of-unity", dest="m", type=int, required=True,
-                      help="order m >= 3 of the root of unity"),
-              _format("csv"),
-              _option("--nullity-n-max", type=_count, default=7,
-                      help="largest size for the Gram-nullity cross-check [default: %(default)s]"))
+@_command(_option("--n-max", type=int, required=True),
+          _option("--root-of-unity", dest="m", type=int, required=True,
+                  help="order m >= 3 of the root of unity"),
+          _format("csv"),
+          _option("--nullity-n-max", type=_count, default=7,
+                  help="largest size for the Gram-nullity cross-check [default: %(default)s]"))
 def irr(n_max, m, fmt, nullity_n_max):
     """Irreducible dimension table, cross-checked three independent ways."""
     mode = _mode_from_flags(False, m)
@@ -290,13 +281,13 @@ def irr(n_max, m, fmt, nullity_n_max):
         _fail("cross-check mismatch: %s" % mismatches)
 
 
-@main.command(_option("--n", type=int, required=True),
-              _option("--k", type=int, required=True),
-              _option("--generic", action="store_true"),
-              _option("--root-of-unity", dest="m", type=int),
-              _format("pretty"),
-              _option("--cap-override", type=_count,
-                      help="raise the symbolic-determinant size cap (default 5)"))
+@_command(_option("--n", type=int, required=True),
+          _option("--k", type=int, required=True),
+          _option("--generic", action="store_true"),
+          _option("--root-of-unity", dest="m", type=int),
+          _format("pretty"),
+          _option("--cap-override", type=_count,
+                  help="raise the symbolic-determinant size cap (default 5)"))
 def gram(n, k, generic, m, fmt, cap_override):
     """Gram matrix, determinants and radical of one standard module."""
     mode = _mode_from_flags(generic, m)
@@ -518,9 +509,9 @@ _SUITES = {
 }
 
 
-@main.command(_option("suite", choices=sorted(_SUITES) + ["all"]),
-              _option("--seed", type=int, default=0,
-                      help="seed for the randomized spot checks [default: %(default)s]"))
+@_command(_option("suite", choices=sorted(_SUITES) + ["all"]),
+          _option("--seed", type=int, default=0,
+                  help="seed for the randomized spot checks [default: %(default)s]"))
 def verify(suite, seed):
     """Run the named invariant suite and print JSON verdicts."""
     names = sorted(_SUITES) if suite == "all" else [suite]

@@ -25,18 +25,18 @@ where a pivot updates only the rows with a nonzero entry in its column,
 each divided exactly by the pivot of the level at which it was last
 updated: every entry is a minor, and coefficients grow only linearly
 (Bareiss, Math. Comp. 22, 1968).  Over Z[beta] = Z[x]/(psi_m) it runs
-once per dense block and m (`_dense_echelon`): the pivot count is the
-rank, and back-substitution gives one radical vector per free column, 1
-there and 0 at the other free columns.  Every echelon form has the same pivot
-columns, the leftmost independent ones, and that null vector is unique,
-so it is the one the reduced row echelon form over Q(zeta_m) gives
-(`_nullspace_field`, the oracle).  The determinant of a dense block, a
-polynomial in beta with int coefficients shared by every mode
-(`_dense_det_beta`), is the signed last pivot of the loop matrix taken at
-the integer beta = 2^B and eliminated over Z, or 0 below full rank.
-Every minor's beta-coefficients are at most size! in size, so with
-2^(B-2) > size! the zero tests are exact and the determinant is read back
-in balanced base 2^B.  The determinant of U(n, k) is the product of the
+once per dense block and root-of-unity mode (`_dense_echelon`): the pivot
+count is the rank, and back-substitution gives one radical vector per free
+column, 1 there and 0 at the other free columns.  Every echelon form has
+the same pivot columns, the leftmost independent ones, and that null
+vector is unique, so it is the one the reduced row echelon form over
+Q(zeta_m) gives (`_nullspace_field`, the oracle).  The generic determinant
+of a dense block (`_dense_det`) is the signed last pivot of the loop
+matrix taken at the integer beta = 2^B and eliminated over Z, or 0 below
+full rank.  Every minor's beta-coefficients are at most size! in size, so
+with 2^(B-2) > size! the zero tests are exact, and each balanced base-2^B
+digit of the determinant is its coefficient of beta^j, expanded in powers
+of q as it is read.  The determinant of U(n, k) is the product of the
 generic dense determinants, each raised to the number of blocks it
 fills, multiplied out by the integer kernel `ring.laurent_product` and
 converted to the mode once; the closed form is the product of
@@ -208,11 +208,10 @@ def _bareiss_det(mat, mode=GENERIC):
     return det if sign == 1 else -det
 
 
-@lru_cache(maxsize=None)
 def tl_gram_matrix(m, k, mode=GENERIC):
     """
     Gram matrix of the dense algebra, on the states without vacancies, as
-    a tuple of row tuples, built once.
+    a tuple of row tuples, built from `_dense_loops` on each call.
     """
     zero = mode.zero()
     return tuple(tuple(zero if loops is None else beta_power(mode, loops) for loops in row)
@@ -235,17 +234,17 @@ def _dense_loops(m, k):
 
 
 @lru_cache(maxsize=None)
-def _dense_det_beta(m, k):
+def _dense_det(m, k):
     """
-    Determinant of the dense (m, k) Gram block as a polynomial in beta: its
-    int coefficients, constant term first, the same in every mode.  The
-    loop matrix is evaluated at beta = X = 2^B (a cell beta^loops becomes
-    X^loops, a vanishing one 0) and eliminated by `_bareiss` over Z; beta
-    -> X is a ring map Z[beta] -> Z, so each exact division stays exact.
-    Every entry is a minor, a sum of at most size! terms +-beta^j, so its
-    coefficients are below 2^(B-2) in size: it vanishes exactly when its
-    value at X does, and the determinant is read back digit by digit in
-    balanced base X.
+    Determinant of the dense (m, k) Gram block as a Laurent polynomial, the
+    same in every mode.  The loop matrix is evaluated at beta = X = 2^B (a
+    cell beta^loops becomes X^loops, a vanishing one 0) and eliminated by
+    `_bareiss` over Z; beta -> X is a ring map Z[beta] -> Z, so each exact
+    division stays exact.  Every entry is a minor, a sum of at most size!
+    terms +-beta^j, so its coefficients are below 2^(B-2) in size: it
+    vanishes exactly when its value at X does, and the j-th digit c_j of
+    the determinant in balanced base X is its coefficient of beta^j, which
+    adds c_j C(j, i) to q^(j - 2i) for each i (beta = q + q^-1).
     """
     loops = _dense_loops(m, k)
     bits = factorial(len(loops)).bit_length() + 2
@@ -253,26 +252,15 @@ def _dense_det_beta(m, k):
                               for row in loops], (0, 1))
     det = sign * echelon[-1][1][0][0] if len(echelon) == len(loops) else 0
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    coeffs = []
+    coeffs, j = {}, 0
     while det:
         c = det & mask
         if c >= half:
             c -= 1 << bits
-        coeffs.append(c)
-        det = (det - c) >> bits
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _dense_det(m, k):
-    """
-    Determinant of the dense (m, k) Gram block as a Laurent polynomial:
-    sum c_j beta^j expanded in integers, beta^j = sum C(j, i) q^(j - 2i).
-    """
-    coeffs = {}
-    for j, c in enumerate(_dense_det_beta(m, k)):
         for i in range(j + 1) if c else ():
             coeffs[j - 2 * i] = coeffs.get(j - 2 * i, 0) + c * comb(j, i)
+        det = (det - c) >> bits
+        j += 1
     return LaurentPoly(coeffs)
 
 
@@ -368,16 +356,17 @@ def _nullspace_field(mat, mode):
 
 
 @lru_cache(maxsize=None)
-def _dense_echelon(occ, k, m):
+def _dense_echelon(occ, k, mode):
     """
     A row echelon form over Z[beta] = Z[x]/(psi_m) of the dense (occ, k)
-    Gram block at a primitive m-th root of unity, for every mode with that
-    m: the pivot rows of `_bareiss` on the cells' d = phi(m)/2 coordinates,
-    which are all zero exactly when the cell is (psi_m is irreducible).
+    Gram block at the mode's primitive m-th root of unity: the pivot rows
+    of `_bareiss` on the cells' d = phi(m)/2 coordinates, which are all
+    zero exactly when the cell is (psi_m is irreducible).
     """
-    psi = real_cyclotomic_poly(m)
+    psi = real_cyclotomic_poly(mode.m)
     zero = (0,) * (len(psi) - 1)
-    rows = [[list(c) for c in zip(*(zero if e is None else real_beta_power(m, e) for e in row))]
+    rows = [[list(c) for c in zip(*(zero if e is None else real_beta_power(mode.m, e)
+                                    for e in row))]
             for row in _dense_loops(occ, k)]
     return tuple(_bareiss(rows, psi)[0])
 
@@ -507,7 +496,7 @@ def _dense_nullspace(occ, k, mode):
     folded into each a_c before the sum.  The vectors are those of
     `_nullspace_field` (see the module docstring).
     """
-    echelon = _dense_echelon(occ, k, mode.m)
+    echelon = _dense_echelon(occ, k, mode)
     size = len(_dense_loops(occ, k))
     pivots = {pc for pc, _planes in echelon}
     free = [c for c in range(size) if c not in pivots]
@@ -535,10 +524,9 @@ def _dense_nullspace(occ, k, mode):
                  for v in range(len(free)))
 
 
-@lru_cache(maxsize=None)
 def _tl_nullity(occ, k, mode):
     """Nullity of the dense (occ, k) Gram block at a root of unity: size - rank."""
-    return len(_dense_loops(occ, k)) - len(_dense_echelon(occ, k, mode.m))
+    return len(_dense_loops(occ, k)) - len(_dense_echelon(occ, k, mode))
 
 
 def gram_nullity(n, k, mode):

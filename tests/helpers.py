@@ -214,7 +214,7 @@ def run_cli(args):
     exit_code = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            cli.main.main(args)
+            cli.main(args)
         except SystemExit as exc:
             exit_code = 0 if exc.code is None else exc.code
     return CliResult(exit_code, out.getvalue() + err.getvalue(), err.getvalue())

@@ -300,16 +300,19 @@ def test_option_abbreviations_are_usage_errors():
 
 
 def test_in_process_call_without_standalone_mode(monkeypatch):
-    """As the benchmark calls it: success returns, a mismatch exits 1, bad input raises."""
+    """
+    Success returns, a mismatch exits 1, bad input raises; the first call
+    is the one perfbench/worker.py makes, through the main.main alias.
+    """
     args = ["gram", "--n", "3", "--k", "1", "--format", "json"]
-    assert main.main(args, standalone_mode=False) is None
+    assert main.main(args=args, prog_name="dilutetl", standalone_mode=False) is None
     with pytest.raises(UsageError, match="need 0 <= k <= n"):
-        main.main(["gram", "--k", "5", "--n", "3"], standalone_mode=False)
+        main(["gram", "--k", "5", "--n", "3"], standalone_mode=False)
     with pytest.raises(UsageError):
-        main.main(["gram", "--n", "3"], standalone_mode=False)
+        main(["gram", "--n", "3"], standalone_mode=False)
     monkeypatch.setattr(gram, "det_gram_tl", lambda m, k: GENERIC.const(7))
     with pytest.raises(SystemExit) as exc:
-        main.main(args, standalone_mode=False)
+        main(args, standalone_mode=False)
     assert exc.value.code == 1
 
 
