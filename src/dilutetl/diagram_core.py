@@ -6,7 +6,10 @@ either vacant or joined pairwise by non-intersecting strings.  Boundary
 slots use a single circular index space: 0..n-1 runs down the left side
 (site 1 at the top) and n..2n-1 runs up the right side, so the right-side
 site s (1-based from the top) is slot 2n-s.  Non-crossing is then simply
-non-interleaving of partner pairs in circular order.
+non-interleaving of partner pairs in circular order.  A link state is one
+half of a diagram |x y~|, so both constructors check one rule,
+planar_pairing(): a non-crossing pairing of points on a line, each
+unpaired point a vacancy or, in a link state, a defect under no pair.
 
 The product glues two diagrams side by side; each closed floating loop
 contributes a factor beta, and any string that meets a vacancy kills the
@@ -53,25 +56,15 @@ class DiluteDiagram:
 
     def __init__(self, n, pairing):
         pairing = tuple(pairing)
-        size = 2 * n
-        if len(pairing) != size:
+        if len(pairing) != 2 * n:
             raise ValueError("a diagram on %d sites has %d slots, not %d"
-                             % (n, size, len(pairing)))
-        west = east = 0
-        for i, p in enumerate(pairing):
-            if p is VACANT:
-                if i < n:
-                    west |= 1 << i
-                else:
-                    east |= 1 << (size - 1 - i)
-            elif not (0 <= p < size and p != i and pairing[p] == i):
-                raise ValueError("pairing must be an involution: %r" % (pairing,))
-        if not _noncrossing(pairing):
-            raise ValueError("strings must not cross: %r" % (pairing,))
+                             % (n, 2 * n, len(pairing)))
+        # counted from slot 2n-1 down, bit s of east is right-side site s+1
+        west, east = planar_pairing(pairing, VACANT)
         self.n = n
         self.pairing = pairing
-        self.west = west
-        self.east = east
+        self.west = west & ((1 << n) - 1)
+        self.east = east & ((1 << n) - 1)
 
     @classmethod
     def _glued(cls, n, pairing, west, east):
@@ -145,18 +138,34 @@ class DiluteDiagram:
         return out
 
 
-def _noncrossing(pairing):
-    stack = []
-    for i, p in enumerate(pairing):
-        if p is VACANT:
-            continue
-        if p > i:
-            stack.append(p)
-        else:
-            if not stack or stack[-1] != i:
-                return False
-            stack.pop()
-    return not stack
+def planar_pairing(points, vacant, loose=None):
+    """
+    Check in one pass that the int entries of `points` pair positions on a
+    line (a diagram's slots, cut at slot 0) as an involution without
+    crossings, that every other entry is the marker `vacant` or `loose` (a
+    defect), and that no pair covers a loose point; else raise ValueError
+    naming `points`.  Returns the vacant positions as bitmasks counted from
+    each end: bit i of the second marks position len(points) - 1 - i.
+    """
+    size = len(points)
+    mask = rmask = 0
+    ends = []
+    for i, p in enumerate(points):
+        if type(p) is int:
+            if i < p < size and points[p] == i:
+                ends.append(p)
+            elif not (p < i and ends and ends.pop() == i):
+                why = "crosses a pair" if 0 <= p < i and points[p] == i else "does not pair back"
+                raise ValueError("point %d pairs with %r, which %s: %r" % (i, p, why, points))
+        elif p == vacant:
+            mask |= 1 << i
+            rmask |= 1 << (size - 1 - i)
+        elif loose is None or p != loose:
+            raise ValueError("point %d is %r, neither a partner nor a marker: %r"
+                             % (i, p, points))
+        elif ends:
+            raise ValueError("loose point %d lies under a pair: %r" % (i, points))
+    return mask, rmask
 
 
 def transpose_diagram(d):

@@ -64,7 +64,7 @@ from math import comb, factorial, gcd
 from .ring import (GENERIC, LaurentPoly, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
 from .diagram_core import glue
-from .link_modules import dim_standard, enumerate_dense_links, site_nodes
+from .link_modules import check_same_module, dim_standard, enumerate_dense_links, site_nodes
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v, occupied_counts
 
 
@@ -79,10 +79,8 @@ def _pair_loops(x, y):
     The number of closed loops of the pairing of x and y, or None where
     the pairing vanishes; the same in every mode.
     """
+    check_same_module(x, y)
     n = x.n
-    if y.n != n or x.defect_count() != y.defect_count():
-        raise ValueError("states %s and %s differ in size or defect count"
-                         % (x.text(), y.text()))
     if x.west != y.west:  # a string meets a vacancy
         return None
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y

@@ -2,32 +2,35 @@
 Link states and the standard modules built on them.
 
 A link state on n sites assigns each site one of: a vacancy, a defect
-(a loose string), or an endpoint of a non-crossing arc.  States with
-exactly k defects form the basis of the k-th standard module; the algebra
-acts by gluing a diagram on the left, with a factor beta per closed loop,
-zero on any string/vacancy mismatch, and removal of strings that join two
-defects.  In the standard-module action, resulting states with fewer than
-k defects are dropped.  A diagram acts on a state only if its right side
-is vacant exactly where the state is: each state carries its vacancy
-pattern as an int mask (`west`, compared with a diagram's `east`).  The
-glued state and loop count of a (diagram, state) pair are memoised,
-ring-free, like products, and `act` sums them with diagram_core's
-glued_sum, which glues only the pairs whose masks agree.
+(a loose string), or an endpoint of an arc; the arcs pair sites like a
+diagram's strings, and no arc covers a defect (diagram_core.planar_pairing).
+States with exactly k defects form the basis of the k-th standard module;
+the algebra acts by gluing a diagram on the left, with a factor beta per
+closed loop, zero on any string/vacancy mismatch, and removal of strings
+that join two defects.  In the standard-module action, resulting states
+with fewer than k defects are dropped.  A diagram acts on a state only if
+its right side is vacant exactly where the state is: each state carries
+its vacancy pattern as an int mask (`west`, compared with a diagram's
+`east`).  The glued state and loop count of a (diagram, state) pair are
+memoised, ring-free, like products, and `act` sums them with
+diagram_core's glued_sum, which glues only the pairs whose masks agree.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
-                           DiluteDiagram, check_compatible, glue, glued_sum, product_seam,
-                           slot_nodes)
+                           DiluteDiagram, check_compatible, glue, glued_sum, planar_pairing,
+                           product_seam, slot_nodes)
 from .tl_reference import dim_v, occupied_counts
 
 
 class LinkState:
     """
-    An immutable link state; sites is a tuple over {'V','D', partner-int}.
+    An immutable link state; sites is a tuple over {'V','D', partner-int}
+    that obeys a diagram's rule, planar_pairing, with no arc over a 'D'.
     Bit i of `west` is set when site i+1 is vacant: the mask faces the
     diagram glued on the state's left, like a diagram's own `west`.
     """
@@ -36,29 +39,9 @@ class LinkState:
 
     def __init__(self, sites):
         sites = tuple(sites)
-        n = len(sites)
-        # validate arcs: ints point at each other and nest properly
-        stack = []
-        west = 0
-        for i, s in enumerate(sites):
-            if s == "V":
-                west |= 1 << i
-                continue
-            if s == "D":
-                if stack:
-                    raise ValueError("defect nested under an arc: %r" % (sites,))
-                continue
-            if not (isinstance(s, int) and 0 <= s < n and s != i and sites[s] == i):
-                raise ValueError("arc ends must point at each other: %r" % (sites,))
-            if s > i:
-                stack.append(s)
-            elif stack[-1] != i:
-                raise ValueError("arcs must not cross: %r" % (sites,))
-            else:
-                stack.pop()
-        self.n = n
+        self.west = planar_pairing(sites, "V", "D")[0]
+        self.n = len(sites)
         self.sites = sites
-        self.west = west
 
     @classmethod
     def _glued(cls, sites, west):
@@ -90,24 +73,14 @@ class LinkState:
 
     @staticmethod
     def from_text(text):
-        sites = []
-        stack = []
+        """The state text() writes; LinkState rejects other characters and lone parentheses."""
+        sites, opened = list(text), []
         for i, ch in enumerate(text):
-            if ch in ("V", "D"):
-                sites.append(ch)
-            elif ch == "(":
-                sites.append(None)
-                stack.append(i)
-            elif ch == ")":
-                if not stack:
-                    raise ValueError("unbalanced arcs in %r" % text)
-                j = stack.pop()
-                sites[j] = i
-                sites.append(j)
-            else:
-                raise ValueError("bad link character %r" % ch)
-        if stack:
-            raise ValueError("unbalanced arcs in %r" % text)
+            if ch == "(":
+                opened.append(i)
+            elif ch == ")" and opened:
+                j = opened.pop()
+                sites[i], sites[j] = j, i
         return LinkState(sites)
 
     def sort_key(self):
@@ -191,14 +164,10 @@ def enumerate_dense_links(n, k):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _trinomial(n, k):
-    """Coefficient of x^k in (x + 1 + 1/x)^n."""
-    if abs(k) > n:
-        return 0
-    if n == 0:
-        return 1
-    return _trinomial(n - 1, k - 1) + _trinomial(n - 1, k) + _trinomial(n - 1, k + 1)
+    """Coefficient of x^k in (x + 1 + 1/x)^n, summed over the number j of factors 1/x."""
+    k = abs(k)
+    return sum(comb(n, j) * comb(n - j, j + k) for j in range((n - k) // 2 + 1))
 
 
 def dim_standard(n, k):
@@ -269,16 +238,21 @@ def act(u, v, quotient_k=None):
     return LinComb._of(u.n, mode, glued_sum(u.terms, v.terms, act_diagram_raw, mode, keep))
 
 
+def check_same_module(x, y):
+    """Raise ValueError unless two link states have one size and one defect count."""
+    if x.n != y.n or x.defect_count() != y.defect_count():
+        raise ValueError("states %s and %s differ in size or defect count"
+                         % (x.text(), y.text()))
+
+
 def diagram_from_links(x, y):
     """
     The diagram |x y~| whose left half is x and whose right half is the
     mirror of y; the defects of the two halves are joined in order into
     crossing strings.  Both states must have the same defect count.
     """
+    check_same_module(x, y)
     n = x.n
-    if y.n != n or x.defect_count() != y.defect_count():
-        raise ValueError("states %s and %s differ in size or defect count"
-                         % (x.text(), y.text()))
     pairs = []
     for i, j in x.arcs():
         pairs.append((i, j))

@@ -46,8 +46,8 @@ saves, so that stays as it is.
 
 Ring elements are immutable: no operation writes to its operands, and no
 element's `coeffs` is changed after construction.  Memoised values
-(`beta_power`, each mode's zero and one, the dense Gram blocks) and matrix
-cells therefore share element objects freely.
+(`beta_power`, each mode's zero and one, the dense Gram blocks, and the
+cyclotomic polynomials as tuples) and matrix cells share objects freely.
 """
 
 from fractions import Fraction
@@ -323,10 +323,10 @@ def _poly_divmod(a, b):
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
     """
-    The m-th cyclotomic polynomial as a dense list of integer coefficients
-    (constant term first), memoised and shared: callers do not change it.
-    Built from Phi_1 = x - 1 by Phi_(rp)(x) = Phi_r(x^p) / Phi_r(x), one
-    prime p of m at a time, then Phi_m(x) = Phi_rad(x^(m/rad)).
+    The m-th cyclotomic polynomial as a tuple of integer coefficients,
+    constant term first.  Built from Phi_1 = x - 1 by Phi_(rp)(x) =
+    Phi_r(x^p) / Phi_r(x), one prime p of m at a time, then Phi_m(x) =
+    Phi_rad(x^(m/rad)).
     """
     if m < 1:
         raise ValueError("cyclotomic polynomial of order %r" % (m,))
@@ -337,7 +337,7 @@ def cyclotomic_poly(m):
             if any(r):
                 raise CrossCheckError("Phi_%d(x) does not divide Phi_%d(x^%d)" % (rad, rad, p))
             phi, rad = q, rad * p
-    return _spread(phi, m // rad)
+    return tuple(_spread(phi, m // rad))
 
 
 def _spread(a, s):

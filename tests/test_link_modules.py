@@ -1,6 +1,7 @@
 """Link states, standard modules and the action of the algebra."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from helpers import act_fold, frac_rank
 
 from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
 from dilutetl.central import build_F
-from dilutetl.diagram_core import (AlgebraElem, all_generators,
+from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
                                    enumerate_diagrams, identity,
                                    multiply_diagrams_raw, transpose)
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
@@ -56,6 +57,38 @@ def test_invalid_states_rejected():
         LinkState((2, 3, 0, 1))  # crossing arcs
 
 
+def test_planar_rule_exhaustive():
+    """
+    The constructors accept exactly the states and diagrams that the
+    enumerators build by other algorithms, and reject every entry that is
+    neither an int nor a marker.
+    """
+    for n in range(6):
+        want = {v for k in range(n + 1) for v in enumerate_links(n, k)}
+        assert _accepted(LinkState, product(("V", "D", *range(n)), repeat=n)) == want, n
+    for n in range(4):
+        got = _accepted(lambda p: DiluteDiagram(n, p),
+                        product((None, *range(2 * n)), repeat=2 * n))
+        assert got == set(enumerate_diagrams(n)), n
+    for bad in ("x", 1.0, True):
+        for make in (lambda: LinkState((bad, 0)), lambda: LinkState(("V", bad)),
+                     lambda: DiluteDiagram(1, (bad, 0)),
+                     lambda: DiluteDiagram(1, (bad, None))):
+            with pytest.raises(ValueError):
+                make()
+
+
+def _accepted(make, candidates):
+    """The objects that `make` builds from the candidates without ValueError."""
+    out = set()
+    for c in candidates:
+        try:
+            out.add(make(c))
+        except ValueError:
+            pass
+    return out
+
+
 def test_enumeration_matches_dimension():
     for n in range(0, 7):
         for k in range(n + 1):
@@ -76,6 +109,17 @@ def test_dimension_table_small():
     assert dim_standard(8, 1) == 512
     assert [dim_standard(4, k) for k in range(5)] == [9, 12, 9, 4, 1]
     assert dim_standard(3, 5) == 0 and dim_standard(3, -1) == 0
+
+
+def test_dimension_past_a_thousand_sites():
+    # past the interpreter's default recursion limit; the defect-free module
+    # is counted by the Motzkin numbers, (n + 2) M_n = (2n + 1) M_(n-1) + (3n - 3) M_(n-2)
+    n = 1100
+    motzkin = [1, 1]
+    for m in range(2, n + 1):
+        motzkin.append(((2 * m + 1) * motzkin[-1] + (3 * m - 3) * motzkin[-2]) // (m + 2))
+    assert dim_standard(n, 0) == motzkin[n]
+    assert dim_standard(n, n) == 1 and dim_standard(n, n - 1) == n
 
 
 def test_vacancy_blocks_are_contiguous():

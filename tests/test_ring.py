@@ -125,7 +125,7 @@ def test_constants_hash_as_the_numbers_they_equal(m):
 def test_cyclotomic_poly_vs_sympy(m):
     x = sympy.symbols("x")
     want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
-    assert cyclotomic_poly(m) == [Fraction(v) for v in want]
+    assert cyclotomic_poly(m) == tuple(Fraction(v) for v in want)
 
 
 @pytest.mark.parametrize("m", list(range(3, 31)))
