@@ -4,11 +4,13 @@ Gram data, the central element and the structure reports.
 
 Commands: `dims` (standard-module dimension table), `irr` (irreducible
 dimension table, computed three independent ways), `gram` (matrix,
-determinants and radical for one module) and `verify` (named invariant
-suites with machine-readable verdicts).  Every command exits nonzero if
-any internal cross-check fails (status 1); a command line they cannot run
-is a usage error (status 2).  `main` runs one command line on a single
-argparse parser, built at import; `_command` adds each command to it.
+determinants and radical for one module) and `verify` (the invariant
+suites of `dilutetl.checks`, with machine-readable verdicts; a failing
+verdict also carries the two sides that disagreed, `lhs` and `rhs`, as
+text).  Every command exits nonzero if any internal cross-check fails
+(status 1); a command line they cannot run is a usage error (status 2).
+`main` runs one command line on a single argparse parser, built at
+import; `_command` adds each command to it.
 """
 
 import argparse
@@ -17,39 +19,23 @@ import os
 import random
 import re
 import sys
-from functools import lru_cache
 from itertools import chain
 
-from .ring import GENERIC, CrossCheckError, LaurentPoly, beta, root_of_unity
-from .diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
-                           crossing_count, enumerate_diagrams, identity,
-                           multiply_diagrams_raw, parity_split, transpose)
-from .link_modules import (LinkState, act, act_diagram, dim_standard,
-                           enumerate_links, induced_basis, phi_iso,
-                           restriction_phi, restriction_psi)
+from .ring import GENERIC, root_of_unity
+from .link_modules import dim_standard
+from . import checks
 from .gram import (dim_irreducible, dim_irreducible_formula, gram_blocks,
-                   gram_det_closed, gram_det_direct, gram_determinants,
-                   gram_nullity, gram_product, row_texts)
-from .central import build_F, check_central, check_eigenvalue
-from .structure import (dim_irr, irr_dims_recurrence, regular_decomposition,
-                        restriction_induction_report, structure_report,
-                        verify_cellularity)
+                   gram_determinants, row_texts)
+from .structure import irr_dims_recurrence
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 DEFAULT_DET_CAP = 5
 DEFAULT_TABLE_CAP = 12
 # near the cap a Gram block already takes seconds: at m = 997 (d = 498 coordinates
 # of beta) `gram --n 6 --k 0` spends about 3 s in the elimination
 MAX_ROOT_ORDER = 1000
-
-
-@lru_cache(maxsize=None)
-def _motzkin(n):
-    """Motzkin numbers by their standard recurrence (independent oracle)."""
-    if n <= 1:
-        return 1
-    return _motzkin(n - 1) + sum(_motzkin(k) * _motzkin(n - 2 - k)
-                                 for k in range(n - 1))
+# perfbench/selftest.py checks that its tracer patches gram_product in this
+# module too; the command line calls it only through the checks
+gram_product = checks.gram_product
 
 
 class UsageError(Exception):
@@ -140,11 +126,6 @@ def _fail(message):
     sys.stdout.flush()
     sys.stderr.write(message + "\n")
     sys.exit(1)
-
-
-def _load_golden(name):
-    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _mode_from_flags(generic, m):
@@ -238,7 +219,7 @@ def dims(n_max, fmt, cap_override):
     failed = False
     for n, row in enumerate(rows):
         ssq = sum(v * v for v in row)
-        mot = _motzkin(2 * n)
+        mot = checks.motzkin(2 * n)
         totals.append({"n": n, "sum_squares": ssq, "motzkin": mot})
         if ssq != mot:
             failed = True
@@ -338,189 +319,24 @@ def gram(n, k, generic, m, fmt, cap_override):
         _fail("cross-check mismatch: %s" % "; ".join(failures))
 
 
-def _suite_algebra(rng):
-    checks = []
-    for n in range(1, 4):
-        diags = enumerate_diagrams(n)
-        checks.append(("diagram_count_n%d" % n, len(diags) == _motzkin(2 * n)))
-        e = identity(n)
-        sample = rng.sample(diags, min(6, len(diags)))
-        checks.append(("identity_n%d" % n, all(
-            e * AlgebraElem.from_diagram(d) == AlgebraElem.from_diagram(d)
-            for d in sample)))
-        for trial in range(3):
-            d1, d2, d3 = (rng.choice(diags) for _ in range(3))
-            a, b, c = (AlgebraElem.from_diagram(d) for d in (d1, d2, d3))
-            checks.append(("assoc_n%d_t%d" % (n, trial),
-                           (a * b) * c == a * (b * c)))
-            checks.append(("transpose_n%d_t%d" % (n, trial),
-                           transpose(a * b) == transpose(b) * transpose(a)))
-            _loops, prod = multiply_diagrams_raw(d1, d2)
-            checks.append(("filtration_n%d_t%d" % (n, trial),
-                           prod is None or crossing_count(prod)
-                           <= min(crossing_count(d1), crossing_count(d2))))
-    # parity: products of distinct parities vanish, equal parities persist
-    n = 3
-    diags = enumerate_diagrams(n)
-    a = AlgebraElem(n, GENERIC, {d: GENERIC.one() for d in rng.sample(diags, 8)})
-    b = AlgebraElem(n, GENERIC, {d: GENERIC.one() for d in rng.sample(diags, 8)})
-    for i, x in enumerate(parity_split(a)):
-        for j, y in enumerate(parity_split(b)):
-            ev, od = parity_split(x * y)
-            if i != j:
-                checks.append(("parity_%d%d" % (i, j),
-                               ev.is_zero() and od.is_zero()))
-            else:
-                checks.append(("parity_%d%d" % (i, j),
-                               (od if i == 0 else ev).is_zero()))
-    return checks
+def _text(side):
+    """One side of a failed check as text; a set's members sorted, so the text is reproducible."""
+    return str(sorted(side, key=str) if isinstance(side, set) else side)
 
 
-def _suite_modules(rng):
-    checks = []
-    g = json.loads(_load_golden("worked_examples.json"))
-    ok = True
-    for p in g["products"]:
-        a = DiluteDiagram.from_json_dict(p["a"])
-        b = DiluteDiagram.from_json_dict(p["b"])
-        loops, d = multiply_diagrams_raw(a, b)
-        if p["result"] is None:
-            ok = ok and d is None
-        else:
-            ok = ok and d is not None and d.to_json_dict() == p["result"] \
-                and loops == p["loops"]
-    checks.append(("product_goldens", ok))
-    ok = True
-    for a in g["actions"]:
-        d = DiluteDiagram.from_json_dict(a["diagram"])
-        v = LinkState.from_text(a["state"])
-        out = act_diagram(d, v, GENERIC)
-        if a["result"] is None:
-            ok = ok and out.is_zero()
-        else:
-            ok = ok and out.terms == {
-                LinkState.from_text(a["result"]): beta() ** a["loops"]}
-    checks.append(("action_goldens", ok))
-    for n in range(1, 6):
-        total = sum(len(enumerate_links(n, k)) for k in range(n + 1))
-        checks.append(("basis_count_n%d" % n, total == sum(
-            dim_standard(n, k) for k in range(n + 1))))
-    # bottom-site maps compose to zero and are exact in the middle
-    for n in range(2, 5):
-        for k in range(1, n):
-            image = set()
-            for dc in (k - 1, k):
-                for v in enumerate_links(n - 1, dc):
-                    image.add(restriction_phi(v, k))
-            kernel = {v for v in enumerate_links(n, k)
-                      if restriction_psi(v) is None}
-            checks.append(("exact_seq_n%d_k%d" % (n, k), image == kernel))
-    for n in range(1, 4):
-        for k in range(n + 1):
-            bset = induced_basis(n, k)
-            imgs = {phi_iso(i, u) for i, u in bset}
-            checks.append(("induced_n%d_k%d" % (n, k),
-                           len(bset) == dim_standard(n + 2, k)
-                           and len(imgs) == len(bset)))
-    return checks
-
-
-def _suite_gram(rng):
-    checks = []
-    g = json.loads(_load_golden("worked_examples.json"))
-    checks.append(("gram_goldens", all(
-        gram_product(LinkState.from_text(e["x"]), LinkState.from_text(e["y"]))
-        == LaurentPoly.parse(e["value"]) for e in g["gram"])))
-    for n in range(1, 5):
-        for k in range(n + 1):
-            direct = gram_det_direct(n, k)
-            closed = gram_det_closed(n, k)
-            checks.append(("det_n%d_k%d" % (n, k), direct == closed))
-    for m in (4, 6):
-        mode = root_of_unity(m)
-        for n in range(1, 6):
-            for k in range(n + 1):
-                checks.append(("nullity_n%d_k%d_m%d" % (n, k, m),
-                               dim_standard(n, k) - gram_nullity(n, k, mode)
-                               == dim_irr(n, k, mode.ell)))
-    # invariance under the anti-involution: <x, u y> = <u^t x, y>
-    n, k = 3, 1
-    basis = enumerate_links(n, k)
-    gens = all_generators(n)
-    for trial in range(4):
-        x, y = rng.choice(basis), rng.choice(basis)
-        _lab, u = rng.choice(gens)
-        lhs = sum((gram_product(x, z) * c for z, c in
-                   act(u, y, quotient_k=k).terms.items()), GENERIC.zero())
-        rhs = sum((gram_product(z, y) * c for z, c in
-                   act(transpose(u), x, quotient_k=k).terms.items()),
-                  GENERIC.zero())
-        checks.append(("invariance_t%d" % trial, lhs == rhs))
-    return checks
-
-
-def _suite_central(rng):
-    checks = []
-    g = json.loads(_load_golden("central_small.json"))
-    for key, n in (("F1", 1), ("F2", 2)):
-        want = {DiluteDiagram.from_json_dict(t["diagram"]):
-                LaurentPoly.parse(t["coeff"]) for t in g[key]["terms"]}
-        checks.append(("golden_%s" % key, build_F(n).terms == want))
-    for n in range(1, 4):
-        checks.append(("central_n%d" % n, check_central(n)))
-    for mode in (GENERIC, root_of_unity(6)):
-        tag = "generic" if mode.kind == "generic" else "m%d" % mode.m
-        for n in range(1, 4):
-            for k in range(n + 1):
-                checks.append(("eigen_n%d_k%d_%s" % (n, k, tag),
-                               check_eigenvalue(n, k, mode)))
-    return checks
-
-
-def _suite_structure(rng):
-    checks = []
-    for m in (4, 6, 8):
-        mode = root_of_unity(m)
-        for n in range(1, 7):
-            rep = structure_report(n, mode)
-            checks.append(("report_n%d_m%d" % (n, m),
-                           all(c["pass"] for c in rep["checks"])))
-        for n in range(1, 7):
-            rep = restriction_induction_report(n, mode.ell)
-            checks.append(("res_ind_n%d_m%d" % (n, m), rep["all_pass"]))
-        balanced = True
-        for n in range(1, 8):
-            try:
-                regular_decomposition(n, mode)
-            except CrossCheckError:  # the multiplicities miss the algebra dimension
-                balanced = False
-        checks.append(("regular_m%d" % m, balanced))
-    checks.append(("cellularity_n2", all(
-        verify_cellularity(2, k) for k in range(3))))
-    return checks
-
-
-_SUITES = {
-    "algebra": _suite_algebra,
-    "modules": _suite_modules,
-    "gram": _suite_gram,
-    "central": _suite_central,
-    "structure": _suite_structure,
-}
-
-
-@_command(_option("suite", choices=sorted(_SUITES) + ["all"]),
+@_command(_option("suite", choices=sorted(checks.SUITES) + ["all"]),
           _option("--seed", type=int, default=0,
                   help="seed for the randomized spot checks [default: %(default)s]"))
 def verify(suite, seed):
     """Run the named invariant suite and print JSON verdicts."""
-    names = sorted(_SUITES) if suite == "all" else [suite]
+    names = sorted(checks.SUITES) if suite == "all" else [suite]
     verdicts = []
     for name in names:
-        rng = random.Random(seed)
-        for check, passed in _SUITES[name](rng):
-            verdicts.append({"suite": name, "check": check,
-                             "pass": bool(passed)})
+        for check, lhs, rhs in checks.SUITES[name](random.Random(seed)):
+            verdict = {"suite": name, "check": check, "pass": bool(lhs == rhs)}
+            if not verdict["pass"]:
+                verdict.update(lhs=_text(lhs), rhs=_text(rhs))
+            verdicts.append(verdict)
     all_pass = all(v["pass"] for v in verdicts)
     sys.stdout.write(json.dumps({"seed": seed, "verdicts": verdicts,
                                  "all_pass": all_pass}, indent=2, sort_keys=True) + "\n")

@@ -9,8 +9,6 @@ the irreducible dimensions, cellularity of the diagram basis, and
 dimension checks for the restriction and induction formulas.
 """
 
-from functools import lru_cache
-
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (all_generators, identity, glued_sum, multiply_diagrams_raw,
                            crossing_count)
@@ -69,7 +67,9 @@ def cartan_matrix(n, ell):
              for j in range(size)] for k in range(size)]
 
 
-@lru_cache(maxsize=None)
+_IRR_ROWS = {}  # ell -> the rows of the table built so far, extended on demand
+
+
 def irr_dims_recurrence(n_max, ell):
     """
     Table of irreducible dimensions built row by row.  Row n+1 follows
@@ -77,31 +77,21 @@ def irr_dims_recurrence(n_max, ell):
     line from below merges differently than the bulk three-term rule, and
     sitting on a critical line picks up a doubled term plus a far
     reflection.  Out-of-range entries count as zero and the k = n entry
-    is always 1.
+    is always 1.  One row list per ell serves every n_max: a larger
+    table extends it, and each call returns rows 0..n_max of it.
     """
     if ell < 2:
         raise ValueError("ell must be at least 2, not %r" % (ell,))
-    rows = [[1]]  # n = 0
-    for n in range(n_max):
-        prev = rows[-1]
-
-        def p(j):
-            if j < 0 or j > n:
-                return 0
-            return prev[j]
-
-        row = []
-        for k in range(n + 2):
-            if k == n + 1:
-                row.append(1)
-            elif is_critical(k, ell):
-                row.append(p(k - 1) + p(k) + 2 * p(k + 1) + p(k + 2 * ell - 1))
-            elif is_critical(k + 1, ell):
-                row.append(p(k - 1) + p(k))
-            else:
-                row.append(p(k - 1) + p(k) + p(k + 1))
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    rows = _IRR_ROWS.setdefault(ell, [(1,)])  # n = 0
+    while len(rows) <= n_max:
+        n = len(rows) - 1
+        p = rows[-1] + (0,) * (2 * ell)  # the entries past n, and p[-1], count as zero
+        rows.append(tuple(
+            p[k - 1] + p[k] + 2 * p[k + 1] + p[k + 2 * ell - 1] if is_critical(k, ell)
+            else p[k - 1] + p[k] if is_critical(k + 1, ell)
+            else p[k - 1] + p[k] + p[k + 1]
+            for k in range(n + 1)) + (1,))
+    return tuple(rows[:max(n_max, 0) + 1])
 
 
 def dim_irr(n, k, ell):
@@ -343,10 +333,7 @@ def structure_report(n, mode):
                                   ("k_minus", "k_plus", "k_minus_in_range", "k_plus_in_range")},
                          "loewy_type": loewy_type(n, k, ell)})
         d, c = decomposition_matrix(n, ell), cartan_matrix(n, ell)
-        checks.append({"name": "cartan_symmetric",
-                       "pass": all(c[i][j] == c[j][i]
-                                   for i in range(n + 1) for j in range(n + 1)),
-                       "lhs": None, "rhs": None})
+        _check(checks, "cartan_symmetric", c, [list(col) for col in zip(*c)])
         pair_rows = [r for r in rows if not r["critical"]]
     _check(checks, "regular_total", sum(r["dimL"] * r["dimP"] for r in rows), algebra_dim(n))
     for r in pair_rows:

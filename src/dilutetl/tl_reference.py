@@ -70,14 +70,17 @@ def dim_irr_tl(n, k, ell=None):
     Dimension of the dense irreducible head of the (n, k) standard
     module.  Generic (ell None): the full standard dimension.  At a root
     of unity the critical modules stay irreducible and the rest obey a
-    two-term recurrence in n.
+    two-term recurrence in n, D(m, j) = D(m-1, j-1) + D(m-1, j+1) (the
+    second term dropped when j + 1 is critical), run as a loop over the
+    rows m <= n within the cone of j that (n, k) depends on.
     """
     if k < 0 or k > n or (n - k) % 2:
         return 0
     if ell is None or is_critical(k, ell):
         return dim_v(n, k)
-    if n == k:
-        return 1
-    if is_critical(k + 1, ell):
-        return dim_irr_tl(n - 1, k - 1, ell)
-    return dim_irr_tl(n - 1, k - 1, ell) + dim_irr_tl(n - 1, k + 1, ell)
+    row = {}
+    for m in range(n + 1):
+        row = {j: dim_v(m, j) if is_critical(j, ell) else 1 if j == m
+               else row.get(j - 1, 0) + (0 if is_critical(j + 1, ell) else row.get(j + 1, 0))
+               for j in range(max(m % 2, k + m - n), min(m, k + n - m) + 1, 2)}
+    return row[k]

@@ -17,6 +17,13 @@ from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
 from dilutetl.link_modules import LinComb, LinkState, act_diagram_raw, dim_standard
 from dilutetl.central import (ROW_OPTIONS, _LEFT_WEIGHT, _RIGHT_WEIGHT,
                               _TILE_INNER)
+from dilutetl.tl_reference import dim_v, is_critical
+
+
+def holds(checks):
+    """Every (name, lhs, rhs) a `dilutetl.checks` check yields has lhs == rhs."""
+    for name, lhs, rhs in checks:
+        assert lhs == rhs, (name, lhs, rhs)
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +33,24 @@ def motzkin(n):
         return 1
     return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k)
                                 for k in range(n - 1))
+
+
+@lru_cache(maxsize=None)
+def dim_irr_tl_recursive(n, k, ell):
+    """
+    The dense irreducible dimension at a root of unity by its two-term
+    recurrence in n, one call per site: the oracle of the loop in
+    `tl_reference.dim_irr_tl`.
+    """
+    if k < 0 or k > n or (n - k) % 2:
+        return 0
+    if is_critical(k, ell):
+        return dim_v(n, k)
+    if n == k:
+        return 1
+    if is_critical(k + 1, ell):
+        return dim_irr_tl_recursive(n - 1, k - 1, ell)
+    return dim_irr_tl_recursive(n - 1, k - 1, ell) + dim_irr_tl_recursive(n - 1, k + 1, ell)
 
 
 @lru_cache(maxsize=None)

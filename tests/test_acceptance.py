@@ -7,32 +7,23 @@ criterion.
 """
 
 import csv
-import json
 import os
 import random
 from math import comb
 
-from helpers import motzkin
+from helpers import holds, motzkin
 
-from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
-from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
-                                   crossing_count, enumerate_diagrams,
-                                   multiply_diagrams_raw, parity_split,
-                                   transpose)
-from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
-                                   _trinomial, diagram_from_links,
-                                   dim_standard, enumerate_links,
-                                   induced_basis, phi_iso, restriction_phi,
-                                   restriction_psi)
+from dilutetl import checks
+from dilutetl.ring import GENERIC, root_of_unity
+from dilutetl.diagram_core import all_generators, enumerate_diagrams
+from dilutetl.link_modules import (LinComb, act, _trinomial, dim_standard,
+                                   enumerate_links)
 from dilutetl.tl_reference import dim_v
-from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
-                           gram_det_closed, gram_det_direct, gram_product,
+from dilutetl.gram import (dim_irreducible, dim_irreducible_formula, gram_product,
                            gram_nullity, radical_basis)
-from dilutetl.central import build_F, check_central, check_eigenvalue
 from dilutetl.structure import (algebra_dim, cartan_matrix,
                                 decomposition_matrix, irr_dims_recurrence,
-                                pair_info, principal_dims,
-                                verify_cellularity)
+                                pair_info, principal_dims)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "dilutetl",
                           "goldens")
@@ -42,11 +33,6 @@ def _golden_rows(name):
     with open(os.path.join(GOLDEN_DIR, name), newline="",
               encoding="utf-8") as fh:
         return [[int(v) for v in row] for row in csv.reader(fh)]
-
-
-def _golden_json(name):
-    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def test_criterion_1_algebra_dimension():
@@ -93,93 +79,34 @@ def test_criterion_3_irreducible_dimension_tables():
 def test_criterion_4_gram_determinant():
     """Closed-form determinant equals the direct one exactly, n <= 5."""
     for n in range(1, 6):
-        for k in range(n + 1):
-            direct = gram_det_direct(n, k)
-            closed = gram_det_closed(n, k)
-            assert direct == closed, (n, k)
+        holds(checks.determinants(n))
 
 
 def test_criterion_5_central_element():
     """Small expansions, centrality and eigenvalues of the tile element."""
-    golden = _golden_json("central_small.json")
-    for key, n in (("F1", 1), ("F2", 2)):
-        want = {DiluteDiagram.from_json_dict(t["diagram"]):
-                LaurentPoly.parse(t["coeff"]) for t in golden[key]["terms"]}
-        assert build_F(n).terms == want, key
+    holds(checks.central_goldens())
     for n in range(1, 5):
-        assert check_central(n), n
-    modes = [GENERIC] + [root_of_unity(m) for m in (4, 6, 8)]
-    for mode in modes:
+        holds(checks.centrality(n))
+    for mode in [GENERIC] + [root_of_unity(m) for m in (4, 6, 8)]:
         for n in range(1, 6):
-            for k in range(n + 1):
-                assert check_eigenvalue(n, k, mode), (n, k, mode)
+            holds(checks.eigenvalues(n, mode))
 
 
 def test_criterion_6_worked_examples():
     """The bundled product, action and pairing fixtures reproduce."""
-    g = _golden_json("worked_examples.json")
-    for case in g["products"]:
-        a = DiluteDiagram.from_json_dict(case["a"])
-        b = DiluteDiagram.from_json_dict(case["b"])
-        loops, d = multiply_diagrams_raw(a, b)
-        if case["result"] is None:
-            assert d is None, case
-        else:
-            assert d is not None and d.to_json_dict() == case["result"]
-            assert loops == case["loops"], case
-    for case in g["actions"]:
-        d = DiluteDiagram.from_json_dict(case["diagram"])
-        v = LinkState.from_text(case["state"])
-        out = act_diagram(d, v, GENERIC)
-        if case["result"] is None:
-            assert out.is_zero(), case
-        else:
-            want = LinkState.from_text(case["result"])
-            assert out.terms == {want: beta() ** case["loops"]}, case
-    for case in g["gram"]:
-        x = LinkState.from_text(case["x"])
-        y = LinkState.from_text(case["y"])
-        assert gram_product(x, y) == LaurentPoly.parse(case["value"]), case
+    holds(checks.product_goldens())
+    holds(checks.action_goldens())
+    holds(checks.gram_goldens())
 
 
 def test_criterion_7_property_suites():
     """Algebraic identities on seeded samples plus exhaustive small cases."""
     rng = random.Random(20260825)
-    # associativity, anti-involution, filtration on seeded diagram triples
     for n in (2, 3):
-        diags = enumerate_diagrams(n)
-        for _ in range(25):
-            d1, d2, d3 = (rng.choice(diags) for _ in range(3))
-            a, b, c = (AlgebraElem.from_diagram(d) for d in (d1, d2, d3))
-            assert (a * b) * c == a * (b * c)
-            assert transpose(a * b) == transpose(b) * transpose(a)
-            _loops, prod = multiply_diagrams_raw(d1, d2)
-            assert prod is None or crossing_count(prod) <= min(
-                crossing_count(d1), crossing_count(d2))
-    # parity-ideal orthogonality
-    for n in (2, 3):
-        whole = AlgebraElem(n, GENERIC, {d: GENERIC.one()
-                                         for d in enumerate_diagrams(n)})
-        ev, od = parity_split(whole)
-        assert (ev * od).is_zero() and (od * ev).is_zero()
-    # Gram invariance and absorption on seeded samples
+        holds(checks.product_laws(n, 25, rng))
+        holds(checks.parity(n, len(enumerate_diagrams(n)), rng))  # the whole algebra
     for n, k in ((3, 0), (3, 1), (4, 2)):
-        basis = enumerate_links(n, k)
-        gens = all_generators(n)
-        for _ in range(20):
-            x, y, z = (rng.choice(basis) for _ in range(3))
-            _lab, u = rng.choice(gens)
-            lhs = GENERIC.zero()
-            for w, cw in act(u, y, quotient_k=k).terms.items():
-                lhs = lhs + gram_product(x, w) * cw
-            rhs = GENERIC.zero()
-            for w, cw in act(transpose(u), x, quotient_k=k).terms.items():
-                rhs = rhs + gram_product(w, y) * cw
-            assert lhs == rhs
-            sandwich = AlgebraElem.from_diagram(diagram_from_links(x, y))
-            got = act(sandwich, z, quotient_k=k)
-            coeff = gram_product(y, z)
-            assert got == LinComb(n, GENERIC, {x: coeff} if coeff else {})
+        holds(checks.invariance(n, k, 20, rng))
     # radical closure: radical vectors stay orthogonal after any generator
     for n, k, m in ((4, 0, 6), (4, 2, 8), (3, 0, 4)):
         mode = root_of_unity(m)
@@ -193,26 +120,12 @@ def test_criterion_7_property_suites():
                     for v, c in moved.terms.items():
                         pairing = pairing + gram_product(x, v, mode) * c
                     assert pairing.is_zero(), (n, k, m, _lab)
-    # cellularity of the diagram basis up to size four
     for n in range(1, 5):
-        for k in range(n + 1):
-            assert verify_cellularity(n, k), (n, k)
-    # bottom-site exact sequences and the induced-basis bijection
+        holds(checks.cellularity(n))
     for n in range(2, 7):
-        for k in range(1, n):
-            image = set()
-            for dc in (k - 1, k):
-                for v in enumerate_links(n - 1, dc):
-                    image.add(restriction_phi(v, k))
-            kernel = {v for v in enumerate_links(n, k)
-                      if restriction_psi(v) is None}
-            assert image == kernel, (n, k)
+        holds(checks.exact_sequence(n))
     for n in range(1, 7):
-        for k in range(n + 1):
-            bset = induced_basis(n, k)
-            assert len(bset) == dim_standard(n + 2, k)
-            images = {phi_iso(i, u) for i, u in bset}
-            assert len(images) == len(bset)
+        holds(checks.induced_bases(n))
 
 
 def test_criterion_8_structure_bookkeeping():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import gram_output, motzkin, run_cli as _run
 
-from dilutetl import cli, gram
+from dilutetl import checks, cli, gram
 from dilutetl.cli import UsageError, main
 from dilutetl.ring import GENERIC, root_of_unity
 
@@ -382,3 +382,49 @@ def test_verify_all_under_optimize():
 def test_verify_unknown_suite():
     res = _run(["verify", "nonsense"])
     assert res.exit_code != 0
+
+
+def test_motzkin_matches_convolution():
+    assert [checks.motzkin(n) for n in range(301)] == [motzkin(n) for n in range(301)]
+
+
+def test_table_oracles_return_on_a_cold_memo():
+    """Neither oracle recurses once per site, so a fresh process reaches these sizes."""
+    code = ("from dilutetl import checks, tl_reference\n"
+            "print(checks.motzkin(2200) > 0, tl_reference.dim_irr_tl(1100, 0, 3) > 0)")
+    res = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
+                         text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (0, "True True\n"), res.stderr[-2000:]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_output_is_pinned(seed):
+    with open(os.path.join(os.path.dirname(__file__), "verify_all_seed%d.json" % seed),
+              encoding="utf-8") as fh:
+        assert _run(["verify", "all", "--seed", str(seed)]) == (0, fh.read(), "")
+
+
+def _clear_pairing_memos():
+    for memo in (gram._dense_loops, gram._dense_det, gram._dense_echelon,
+                 gram._dense_nullspace):
+        memo.cache_clear()
+
+
+def test_failing_verdict_carries_both_sides(monkeypatch):
+    """A pairing that drops a loop fails `gram_goldens`, whose verdict shows both sides."""
+    pair_loops = gram._pair_loops
+
+    def dropped(x, y):
+        loops = pair_loops(x, y)
+        return loops - 1 if loops else loops
+
+    monkeypatch.setattr(gram, "_pair_loops", dropped)
+    _clear_pairing_memos()
+    try:
+        res = _run(["verify", "gram"])
+    finally:
+        monkeypatch.undo()
+        _clear_pairing_memos()
+    assert res.exit_code == 1
+    verdict = {v["check"]: v for v in json.loads(res.output)["verdicts"]}["gram_goldens"]
+    assert verdict["pass"] is False and verdict["lhs"] != verdict["rhs"], verdict

@@ -100,6 +100,13 @@ def test_recurrence_matches_golden_tables(ell, name):
     assert [list(r) for r in table] == _golden_rows(name)
 
 
+def test_recurrence_table_is_one_table_per_ell():
+    for ell in (2, 3, 5):
+        small = irr_dims_recurrence(20, ell)
+        assert irr_dims_recurrence(40, ell)[:21] == small
+        assert irr_dims_recurrence(20, ell) == small
+
+
 def test_regular_decomposition_generic():
     for n in range(1, 9):
         out = regular_decomposition(n, GENERIC)
@@ -231,5 +238,4 @@ def test_report_records_keep_their_keys():
                 "k", "dimU", "dimR", "dimL", "dimP", "critical", "pair", "loewy_type"]] * (n + 1)
             for c in rep["checks"]:
                 assert list(c) == ["name", "pass", "lhs", "rhs"]
-                if c["name"] != "cartan_symmetric":
-                    assert c["pass"] == (c["lhs"] == c["rhs"])
+                assert c["pass"] == (c["lhs"] == c["rhs"])

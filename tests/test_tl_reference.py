@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import catalan
+from helpers import catalan, dim_irr_tl_recursive
 
 from dilutetl.ring import GENERIC, root_of_unity
 from dilutetl.tl_reference import (det_gram_tl, dim_irr_tl, dim_tl, dim_v,
@@ -82,3 +82,10 @@ def test_dim_irr_tl_critical_full():
             for k in range(n + 1):
                 if dim_v(n, k) and is_critical(k, ell):
                     assert dim_irr_tl(n, k, ell) == dim_v(n, k)
+
+
+def test_dim_irr_tl_loop_matches_recursion():
+    for ell in range(2, 9):
+        for n in range(61):
+            for k in range(n + 1):
+                assert dim_irr_tl(n, k, ell) == dim_irr_tl_recursive(n, k, ell), (n, k, ell)
