@@ -84,11 +84,18 @@ def _row_steps(is_open):
 
 
 @lru_cache(maxsize=None)
-def _row_transfer(n):
+def build_F(n, mode=GENERIC):
     """
-    The central element on n sites before any ring is chosen: a tuple of
-    (diagram, {loops: {exponent of q: count}}).
+    The central element on n sites, expanded into diagrams.  Memoised per
+    (n, mode): callers get a shared element and must not change its terms.
+    A root-of-unity element specialises the generic one, which the row
+    transfer builds.
     """
+    if n < 1:
+        raise ValueError("the tile assembly needs n >= 1, not %d" % n)
+    if mode != GENERIC:
+        return AlgebraElem(n, mode, {d: mode.convert(c)
+                                     for d, c in build_F(n, GENERIC).terms.items()})
     size = 2 * n
     # state: (slot pairing so far, the slots joined to the left and right
     # cut ends or None); value: {(exponent of sqrt(q), loops): count}
@@ -110,7 +117,7 @@ def _row_transfer(n):
                     w = (e + sexp, l + loops)
                     acc[w] = acc.get(w, 0) + sign * c
         states = merged
-    closed = {}
+    closed = {}  # slot pairing -> {loops: {exponent of q: count}}
     for (pairing, cut), weights in states.items():
         # the bottom cup joins the open slots, or the cut ends into a loop
         p = list(pairing)
@@ -125,27 +132,12 @@ def _row_transfer(n):
                 raise CrossCheckError("half powers of q must cancel")
             by_q = acc.setdefault(l + cup_loops, {})
             by_q[e // 2] = by_q.get(e // 2, 0) + c
-    return tuple((DiluteDiagram(n, p), by_loops) for p, by_loops in closed.items())
-
-
-@lru_cache(maxsize=None)
-def build_F(n, mode=GENERIC):
-    """
-    The central element on n sites, expanded into diagrams.  Memoised per
-    (n, mode): callers get a shared element and must not change its terms.
-    A root-of-unity element specialises the generic one.
-    """
-    if n < 1:
-        raise ValueError("the tile assembly needs n >= 1, not %d" % n)
-    if mode != GENERIC:
-        return AlgebraElem(n, mode, {d: mode.convert(c)
-                                     for d, c in build_F(n).terms.items()})
     terms = {}
-    for d, by_loops in _row_transfer(n):
+    for p, by_loops in closed.items():
         coeff = LaurentPoly()
         for loops, by_q in by_loops.items():
             coeff = coeff + LaurentPoly(by_q) * beta_power(GENERIC, loops)
-        terms[d] = coeff
+        terms[DiluteDiagram(n, p)] = coeff
     return AlgebraElem(n, mode, terms)
 
 

@@ -168,6 +168,41 @@ def planar_pairing(points, vacant, loose=None):
     return mask, rmask
 
 
+def planar_points(n, k, dilute):
+    """
+    The n-tuples that planar_pairing(points, "V", "D") accepts with k loose
+    points "D", and with no "V" unless dilute, in text order ('(' < ')' <
+    'D' < 'V'): link states, or on 2n points with k = 0 diagrams.
+    """
+    if not 0 <= k <= n or not dilute and (n - k) % 2:
+        return []
+    out, points, opened = [], [None] * n, []
+
+    def walk(i, loose):
+        if i == n:
+            out.append(tuple(points))
+            return
+        owed = len(opened) + loose  # must fit in the points after i
+        if owed < n - i - 1:
+            opened.append(i)
+            walk(i + 1, loose)
+            opened.pop()
+        if opened:
+            j = opened.pop()
+            points[i], points[j] = j, i
+            walk(i + 1, loose)
+            opened.append(j)
+        elif loose:
+            points[i] = "D"
+            walk(i + 1, loose - 1)
+        if dilute and owed < n - i:
+            points[i] = "V"
+            walk(i + 1, loose)
+
+    walk(0, k)
+    return out
+
+
 def transpose_diagram(d):
     """Mirror a diagram left-right (slot j maps to 2n-1-j)."""
     size = 2 * d.n
@@ -494,33 +529,19 @@ def projector_pi(z, mode=GENERIC):
     return AlgebraElem.from_diagram(d, mode)
 
 
-@lru_cache(maxsize=None)
-def _noncrossing_matchings(points):
-    """All non-crossing partial matchings of a tuple of ordered points, as tuples of pairs."""
-    if not points:
-        return ((),)
-    first, rest = points[0], points[1:]
-    out = list(_noncrossing_matchings(rest))
-    for j, p in enumerate(rest):
-        for m1 in _noncrossing_matchings(rest[:j]):
-            for m2 in _noncrossing_matchings(rest[j + 1:]):
-                out.append(((first, p),) + m1 + m2)
-    return tuple(out)
-
-
 DEFAULT_ENUM_CAP = 6
 
 
 def enumerate_diagrams(n):
     """
-    All dilute diagrams of a given size, in a deterministic order.  The
+    All dilute diagrams of a given size, ordered by sort_key().  The
     count is the Motzkin number of 2n.  Guarded by `DEFAULT_ENUM_CAP`
     because the count grows quickly.
     """
     if n > DEFAULT_ENUM_CAP:
         raise ResourceWarning("diagram enumeration capped at n=%d (asked n=%d)"
                               % (DEFAULT_ENUM_CAP, n))
-    diagrams = [DiluteDiagram.from_pairs(n, m)
-                for m in _noncrossing_matchings(tuple(range(2 * n)))]
+    diagrams = [DiluteDiagram(n, [VACANT if p == "V" else p for p in points])
+                for points in planar_points(2 * n, 0, True)]
     diagrams.sort(key=DiluteDiagram.sort_key)
     return diagrams

@@ -17,13 +17,12 @@ diagram_core's glued_sum, which glues only the pairs whose masks agree.
 """
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
                            DiluteDiagram, check_compatible, glue, glued_sum, planar_pairing,
-                           product_seam, slot_nodes)
+                           planar_points, product_seam, slot_nodes)
 from .tl_reference import dim_v, occupied_counts
 
 
@@ -116,52 +115,19 @@ class LinComb(Combination):
 @lru_cache(maxsize=None)
 def enumerate_links(n, k):
     """
-    All link states on n sites with exactly k defects, ordered by vacancy
-    count ascending, then vacancy positions, then site pattern: for each
-    vacancy set, in the order of `itertools.combinations`, the dense
-    states on the sites left occupied.
+    All link states on n sites with exactly k defects, in the order of
+    `LinkState.sort_key`: vacancy count ascending, then vacancy positions,
+    then text().
     """
-    out = []
-    for v in range(n + 1):
-        dense = enumerate_dense_links(n - v, k)
-        for vac in combinations(range(n), v) if dense else ():
-            occupied = [i for i in range(n) if i not in vac]
-            for state in dense:
-                sites = ["V"] * n
-                for i, s in zip(occupied, state.sites):
-                    sites[i] = s if s == "D" else occupied[s]
-                out.append(LinkState(sites))
-    return tuple(out)
+    return tuple(sorted(map(LinkState, planar_points(n, k, True)), key=LinkState.sort_key))
 
 
-@lru_cache(maxsize=None)
 def enumerate_dense_links(n, k):
     """
     The link states on n sites with k defects and no vacancy, ordered by
     text() ('(' < ')' < 'D').
     """
-    if not 0 <= k <= n or (n - k) % 2:
-        return ()
-    out = []
-
-    def build(sites, open_stack, defects_left):
-        # invariant: open arcs plus defects to place fit in the sites left
-        i = len(sites)
-        if i == n:
-            out.append(LinkState(sites))
-            return
-        if len(open_stack) + defects_left < n - i - 1:
-            build(sites + [None], open_stack + [i], defects_left)
-        if open_stack:
-            j = open_stack[-1]
-            closed = sites + [j]
-            closed[j] = i
-            build(closed, open_stack[:-1], defects_left)
-        elif defects_left:  # a defect below an open arc would cross it
-            build(sites + ["D"], open_stack, defects_left - 1)
-
-    build([], [], k)
-    return tuple(out)
+    return tuple(map(LinkState, planar_points(n, k, False)))
 
 
 def _trinomial(n, k):

@@ -128,6 +128,31 @@ def mul_fold(a, b):
     return AlgebraElem(a.n, a.mode, acc)
 
 
+def product_loops(a, b):
+    """
+    The closed loops of the product a*b, by union-find over the glued
+    graph: a's slots are nodes 0..2n-1 and b's 2n..4n-1, joined by both
+    factors' strings and by the seam, right site s of a (slot 2n-s) to
+    left site s of b (node 2n+s-1).  A closed loop is a component with an
+    occupied slot and no outer slot (a's left side, b's right side).  The
+    oracle of the loop count glue() gives the product.
+    """
+    n, size = a.n, 2 * a.n
+    root = list(range(2 * size))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    strings = [(off + i, off + p) for off, d in ((0, a), (size, b))
+               for i, p in enumerate(d.pairing) if p is not None]
+    for x, y in strings + [(size - s, size + s - 1) for s in range(1, n + 1)]:
+        root[find(x)] = find(y)
+    outer = {find(x) for x in list(range(n)) + list(range(size + n, 2 * size))}
+    return len({find(x) for x, _y in strings} - outer)
+
+
 def act_fold(u, v, quotient_k=None):
     """
     The diagram action extended term by term, each pair glued afresh and

@@ -35,6 +35,15 @@ def test_row_transfer_matches_enumeration(n, mode):
     assert build_F(n, mode).terms == build_F_enumerated(n, mode).terms
 
 
+def test_root_element_reads_the_generic_memo_entry():
+    """A root-of-unity element specialises the generic one, so this is one memo entry."""
+    build_F.cache_clear()
+    build_F(3, root_of_unity(6))
+    hits = build_F.cache_info().hits
+    build_F(3, GENERIC)
+    assert build_F.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("n,mode", [(5, GENERIC), (6, GENERIC),
                                     (5, root_of_unity(6)), (6, root_of_unity(6))],
                          ids=repr)

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import motzkin, mul_fold
+from helpers import motzkin, mul_fold, product_loops
 
 from dilutetl.ring import GENERIC, root_of_unity
 from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
@@ -77,6 +77,24 @@ def test_memoised_products_match_fresh_validated_glue():
                     continue
                 checked = DiluteDiagram(n, d.pairing)
                 assert (d.west, d.east) == (checked.west, checked.east) == (a.west, b.east)
+
+
+def test_product_loops_match_a_union_find_count():
+    """
+    Every nonzero product at 1 <= n <= 3 closes as many loops as the
+    glued graph has components with an occupied slot and no outer slot.
+    """
+    nonzero = with_loops = 0
+    for n in (1, 2, 3):
+        diagrams = enumerate_diagrams(n)
+        for a in diagrams:
+            for b in diagrams:
+                loops, d = multiply_diagrams_raw.__wrapped__(a, b)
+                if d is not None:
+                    assert loops == product_loops(a, b), (a, b)
+                    nonzero += 1
+                    with_loops += loops > 0
+    assert (nonzero, with_loops) == (382, 102)
 
 
 def test_malformed_input_raises_under_optimize():
