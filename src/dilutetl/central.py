@@ -83,13 +83,13 @@ def _row_steps(is_open):
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def build_F(n, mode=GENERIC):
     """
-    The central element on n sites, expanded into diagrams.  Memoised per
-    (n, mode): callers get a shared element and must not change its terms.
-    A root-of-unity element specialises the generic one, which the row
-    transfer builds.
+    The central element on n sites, expanded into diagrams.  The last 16
+    (n, mode) are memoised, above a central_tile pass's 14: callers get a
+    shared element and must not change its terms.  A root-of-unity element
+    specialises the generic one, which the row transfer builds.
     """
     if n < 1:
         raise ValueError("the tile assembly needs n >= 1, not %d" % n)

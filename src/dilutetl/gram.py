@@ -19,24 +19,27 @@ a power of beta = q + q^-1, so the whole block lies in the real subfield
 Q(beta) of degree phi(m)/2, and its rank and nullspace there are those
 over Q(zeta_m).
 
-One elimination, `_bareiss`, serves determinants, nullities and radicals:
-a sparse fraction-free echelon over Z[x]/(psi) on integer coordinates,
-where a pivot updates only the rows with a nonzero entry in its column,
-each divided exactly by the pivot of the level at which it was last
-updated: every entry is a minor, and coefficients grow only linearly
-(Bareiss, Math. Comp. 22, 1968).  Over Z[beta] = Z[x]/(psi_m) it runs
-once per dense block and root-of-unity mode (`_dense_echelon`): the pivot
-count is the rank, and back-substitution gives one radical vector per free
-column, 1 there and 0 at the other free columns.  Every echelon form has
-the same pivot columns, the leftmost independent ones, and that null
-vector is unique, so it is the one the reduced row echelon form over
-Q(zeta_m) gives (`_nullspace_field`, the oracle).  The generic determinant
-of a dense block (`_dense_det`) is the signed last pivot of the loop
-matrix taken at the integer beta = 2^B and eliminated over Z, or 0 below
-full rank.  Every minor's beta-coefficients are at most size! in size, so
-with 2^(B-2) > size! the zero tests are exact, and each balanced base-2^B
-digit of the determinant is its coefficient of beta^j, expanded in powers
-of q as it is read.  The determinant of U(n, k) is the product of the
+One elimination, `_bareiss`, and one back-substitution, `_null_vectors`,
+serve determinants, nullities and radicals.  `_bareiss` is a sparse
+fraction-free echelon over Z[x]/(psi) on integer coordinates, where a
+pivot updates only the rows with a nonzero entry in its column, each
+divided exactly by the pivot of the level at which it was last updated:
+every entry is a minor, and coefficients grow only linearly (Bareiss,
+Math. Comp. 22, 1968).  One builder, `_loop_rows`, gives it the rows of
+a loop matrix under a ring map from Z[beta]: beta^e in
+Z[beta] = Z[x]/(psi_m) at a root of unity (`_dense_echelon`, whose pivot
+count is the rank), the integer X^e for beta -> X = 2^B generically
+(`_dense_det`).  `_null_vectors` gives one null vector per free column
+of any echelon, 1 there and 0 at the other free columns, fraction-free
+until it divides by the last pivot; at d > 1 it divides by a pivot
+through `_divider`, which reads the pivot's inverse off the one null
+vector of its multiplication table beside e_0, over Z.  Every echelon
+form has the same pivot columns, the leftmost independent ones, and each
+null vector is unique, so the radical vectors are those of the reduced
+row echelon form over Q(zeta_m) (`_nullspace_field`, the oracle).  The
+generic determinant of a dense block is the signed last pivot of its
+echelon over Z, or 0 below full rank, read digit by digit as its
+beta-coefficients.  The determinant of U(n, k) is the product of the
 generic dense determinants, each raised to the number of blocks it
 fills, multiplied out by the integer kernel `ring.laurent_product` and
 converted to the mode once; the closed form is the product of
@@ -57,9 +60,9 @@ for the command line's output.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 
 from .ring import (GENERIC, LaurentPoly, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
@@ -244,11 +247,10 @@ def _dense_det(m, k):
     the determinant in balanced base X is its coefficient of beta^j, which
     adds c_j C(j, i) to q^(j - 2i) for each i (beta = q + q^-1).
     """
-    loops = _dense_loops(m, k)
-    bits = factorial(len(loops)).bit_length() + 2
-    echelon, sign = _bareiss([[[0 if e is None else 1 << (bits * e) for e in row]]
-                              for row in loops], (0, 1))
-    det = sign * echelon[-1][1][0][0] if len(echelon) == len(loops) else 0
+    size = len(_dense_loops(m, k))
+    bits = factorial(size).bit_length() + 2
+    echelon, sign = _bareiss(_loop_rows(m, k, lambda e: (1 << (bits * e),)), (0, 1))
+    det = sign * echelon[-1][1][0][0] if len(echelon) == size else 0
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     coeffs, j = {}, 0
     while det:
@@ -264,27 +266,25 @@ def _dense_det(m, k):
 
 def gram_det_direct(n, k, mode=GENERIC):
     """
-    Determinant by elimination: the generic determinant of each distinct
-    dense block (`_dense_det`) raised to the number of diagonal blocks it
-    fills, multiplied out by the integer kernel `laurent_product` and
-    converted to the mode once; at a root of unity this is the
-    specialisation of the generic determinant.
+    Determinant by elimination, from the generic dense determinants
+    `_dense_det`; at a root of unity, the generic one specialised.
     """
     return _module_det(_dense_det, n, k, mode)
 
 
 def gram_det_closed(n, k, mode=GENERIC):
     """
-    Closed form: the product over occupied-site counts of the dense Gram
-    determinant `det_gram_tl` raised to a binomial multiplicity, by the
-    integer kernel `laurent_product`, converted to the mode once; 1 (the
+    Closed form, from the dense Gram determinants `det_gram_tl`; 1 (the
     empty product) for a module that does not exist.
     """
     return _module_det(det_gram_tl, n, k, mode)
 
 
 def _module_det(dense_det, n, k, mode):
-    """The product of dense_det(m, k) ** count over `occupied_counts`, in the mode."""
+    """
+    The product of dense_det(m, k) ** count over `occupied_counts`, by the
+    integer kernel `laurent_product`, converted to the mode once.
+    """
     return mode.convert(laurent_product((dense_det(m, k), count)
                                         for m, count in occupied_counts(n, k)))
 
@@ -353,8 +353,6 @@ def _nullspace_field(mat, mode):
     return basis
 
 
-# A gram_root pass reads 66 echelons and 33 divider tables; dim_irreducible
-# over m = 3..40 and n <= 10 makes 1,368 and 12,043, each read at one m.
 @lru_cache(maxsize=256)
 def _dense_echelon(occ, k, mode):
     """
@@ -363,12 +361,18 @@ def _dense_echelon(occ, k, mode):
     of `_bareiss` on the cells' d = phi(m)/2 coordinates, which are all
     zero exactly when the cell is (psi_m is irreducible).
     """
-    psi = real_cyclotomic_poly(mode.m)
-    zero = (0,) * (len(psi) - 1)
-    rows = [[list(c) for c in zip(*(zero if e is None else real_beta_power(mode.m, e)
-                                    for e in row))]
+    rows = _loop_rows(occ, k, partial(real_beta_power, mode.m))
+    return tuple(_bareiss(rows, real_cyclotomic_poly(mode.m))[0])
+
+
+def _loop_rows(occ, k, power):
+    """
+    The dense (occ, k) loop matrix as `_bareiss` rows: a cell with e loops is
+    power(e), beta^e under a ring map from Z[beta], a vanishing one zero.
+    """
+    zero = (0,) * len(power(0))
+    return [[list(c) for c in zip(*(zero if e is None else power(e) for e in row))]
             for row in _dense_loops(occ, k)]
-    return tuple(_bareiss(rows, psi)[0])
 
 
 def _bareiss(rows, psi):
@@ -396,7 +400,7 @@ def _bareiss(rows, psi):
         sign = -sign if piv % 2 else sign
         if t < len(pivots) - 1:
             table, den = _scaled(pivots[-1], t, pivots, psi)
-            prow = _exact(_sum_of_products([(table, prow)]), den)
+            prow = _sum_of_products([(table, prow)], den)
         echelon.append((col, prow))
         pivots.append(tuple(c[0] for c in prow))
         ptail = [c[1:] for c in prow]
@@ -408,8 +412,8 @@ def _bareiss(rows, psi):
                 if t not in heads:
                     heads[t] = _scaled(pivots[-1], t, pivots, psi)
                 table, den = heads[t]
-                tail = _exact(_sum_of_products(
-                    [(table, tail), (_scaled(f, t, pivots, psi)[0], ptail)]), den)
+                tail = _sum_of_products(
+                    [(table, tail), (_scaled(f, t, pivots, psi)[0], ptail)], den)
                 if not any(map(any, tail)):
                     continue  # the row is now zero
                 t = len(pivots) - 1
@@ -431,11 +435,6 @@ def _scaled(a, t, pivots, psi):
     return _times_table(_apply(star, a), psi), den
 
 
-def _exact(planes, den):
-    """Cells as d coordinate lists, each entry divided exactly by the integer den."""
-    return planes if den == 1 else [[v // den for v in plane] for plane in planes]
-
-
 def _apply(table, a):
     """The coordinates of t*a, for the multiplication table of t."""
     return tuple(sum(x * y for x, y in zip(row, a)) for row in table)
@@ -449,10 +448,11 @@ def _times_table(a, psi):
     return tuple(zip(*cols))
 
 
-def _sum_of_products(terms):
+def _sum_of_products(terms, den=1):
     """
     The sum of a*u over a nonempty list of (table of a, u) pairs, each u a
-    list of d coordinate lists of one length (cells side by side).
+    list of d coordinate lists of one length (cells side by side), each
+    entry divided exactly by the integer den.
     """
     out = [[0] * len(terms[0][1][0]) for _ in terms[0][0]]
     for table, planes in terms:
@@ -462,66 +462,66 @@ def _sum_of_products(terms):
                 if c:
                     acc = [a + c * x for a, x in zip(acc, plane)]
             out[i] = acc
-    return out
+    return out if den == 1 else [[v // den for v in plane] for plane in out]
 
 
 @lru_cache(maxsize=1024)
 def _divider(a, psi):
     """
-    (table of a*, D), a* integer and D in Z coprime with a * a* = D, for a
-    nonzero a in Z[x]/(psi): a* = D a^-1 solves a's table against D e_0 by
-    `_bareiss` over Z and back-substitution, each division exact (Cramer).
+    (table of a*, D), a* integer and D > 0 coprime with a * a* = D, for a
+    nonzero a in Z[x]/(psi) at d > 1: (y, 1) is the one null vector of
+    [T(a) | e_0] over Z, a's table beside e_0, so a * y = -1; D is the lcm
+    of y's denominators and a* = -D y.
     """
-    d = len(a)
-    echelon, _sign = _bareiss([[list(row) + [int(i == 0)]]
-                               for i, row in enumerate(_times_table(a, psi))], (0, 1))
-    den, z = echelon[-1][1][0][0], [0] * d
-    for i in reversed(range(d)):
-        row = echelon[i][1][0]
-        z[i] = (den * row[-1] - sum(u * v for u, v in zip(row[1:-1], z[i + 1:]))) // row[0]
-    g = gcd(den, *z)
-    return _times_table(tuple(v // g for v in z), psi), den // g
+    rows = [[list(row) + [int(i == 0)]] for i, row in enumerate(_times_table(a, psi))]
+    (y,) = _null_vectors(_bareiss(rows, (0, 1))[0], len(a) + 1, (0, 1))
+    den = lcm(*(c.denominator for (c,) in y))
+    return _times_table(tuple(int(-den * c) for (c,) in y[:-1]), psi), den
 
 
-@lru_cache(maxsize=None)
+def _null_vectors(echelon, size, psi):
+    """
+    The null vectors of a `_bareiss` echelon over Q[x]/(psi) with size
+    columns, as size cells of d coordinates: one per free column, 1 there
+    and 0 at the other free columns.  All are solved side by side (each x_c
+    d coordinate lists, one entry per vector) as D times themselves, for
+    s*P = D in Z and P the last pivot (`_scaled`; D = 1 without pivots).  P
+    is a minor, so by Cramer's rule every P x_c, and so every D x_c, lies
+    in Z[x]/(psi).  From the last pivot row up, x_pc = -(s' * sum(a_c x_c))
+    // D' with s'*p = D' for the row's pivot p, each division exact; the
+    last step divides by D, leaving integral coordinates as ints.
+    """
+    free = sorted(set(range(size)) - {pc for pc, _planes in echelon})
+    if not free:
+        return []
+    one = (1,) + (0,) * (len(psi) - 2)
+    pivots = [tuple(c[0] for c in planes) for _pc, planes in echelon]
+    scale = _scaled(one, len(pivots) - 1, pivots, psi)[1]
+    x = {fc: [[scale * (i == 0 and j == v) for v in range(len(free))] for i in range(len(one))]
+         for j, fc in enumerate(free)}
+    for t in reversed(range(len(echelon))):
+        pc, planes = echelon[t]
+        terms = [(_times_table(a, psi), x[pc + c]) for c, a in enumerate(zip(*planes))
+                 if c and any(a)]
+        star, den = _scaled(one, t, pivots, psi)
+        x[pc] = (_sum_of_products([(star, _sum_of_products(terms))], -den) if terms
+                 else [[0] * len(free) for _ in one])
+    return [[tuple(Fraction(plane[v], scale) if plane[v] % scale else plane[v] // scale
+                   for plane in x[c]) for c in range(size)]
+            for v in range(len(free))]
+
+
 def _dense_nullspace(occ, k, mode):
     """
-    Nullspace basis of the dense (occ, k) Gram block at a root of unity, as
-    tuples of ring cells, built once: one vector per free (non-pivot)
-    column fc of `_dense_echelon`, with x_fc = 1 and every other free
-    column 0, by back-substitution from the last pivot row up, x_pc =
-    -p^-1 * sum(a_c x_c) over Q(beta).  All free columns are solved side
-    by side, each x_c a list of d coordinate lists with one entry per
-    vector; -p^-1 is s / D with s*(-p) = D in Z (`_divider`), and s is
-    folded into each a_c before the sum.  The vectors are those of
-    `_nullspace_field` (see the module docstring).
+    Nullspace basis of the dense (occ, k) Gram block at a root of unity:
+    the vectors of `_null_vectors` on `_dense_echelon` as tuples of ring
+    cells, those of `_nullspace_field` (see the module docstring).
     """
-    echelon = _dense_echelon(occ, k, mode)
-    size = len(_dense_loops(occ, k))
-    pivots = {pc for pc, _planes in echelon}
-    free = [c for c in range(size) if c not in pivots]
-    if not free:
-        return ()
-    psi = real_cyclotomic_poly(mode.m)
-    x = {fc: [[int(i == 0 and j == v) for v in range(len(free))]
-              for i in range(len(psi) - 1)] for j, fc in enumerate(free)}
-    for pc, planes in reversed(echelon):
-        cells = list(zip(*planes))
-        star, den = _divider(tuple(-v for v in cells[0]), psi)
-        terms = [(_times_table(_apply(star, a), psi), x[pc + c]) for c, a in enumerate(cells)
-                 if c and any(a)]
-        x[pc] = ([[Fraction(v, den) for v in plane] for plane in _sum_of_products(terms)]
-                 if terms else [[0] * len(free) for _ in psi[1:]])
-    made = {}
-
-    def cell(coords):
-        if coords not in made:
-            made[coords] = sum((c * beta_power(mode, j) for j, c in enumerate(coords) if c),
-                               mode.zero())
-        return made[coords]
-
-    return tuple(tuple(cell(tuple(plane[v] for plane in x[c])) for c in range(size))
-                 for v in range(len(free)))
+    vectors = _null_vectors(_dense_echelon(occ, k, mode), len(_dense_loops(occ, k)),
+                            real_cyclotomic_poly(mode.m))
+    cells = {c: sum((v * beta_power(mode, j) for j, v in enumerate(c) if v), mode.zero())
+             for c in {c for vec in vectors for c in vec}}
+    return tuple(tuple(cells[c] for c in vec) for vec in vectors)
 
 
 def _tl_nullity(occ, k, mode):

@@ -320,7 +320,6 @@ def _poly_divmod(a, b):
     return q, a
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(m):
     """
     The m-th cyclotomic polynomial as a tuple of integer coefficients,

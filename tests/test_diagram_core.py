@@ -119,10 +119,7 @@ def test_malformed_input_raises_under_optimize():
         "def formulas_disagree():",
         "    link_modules._trinomial = lambda n, k: 0",
         "    link_modules.dim_standard(3, 1)",
-        "def remainder_left():",
-        # a Phi_4 memoised by an earlier case would not be rebuilt; the
-        # cleared memo is refilled by the later cases, so restore the helper
-        "    cyclotomic_poly.cache_clear()",
+        "def remainder_left():",  # later cases build Phi_m again: restore the helper
         "    ring._poly_divmod = lambda a, b: ([0], [1])",
         "    try:",
         "        cyclotomic_poly(4)",

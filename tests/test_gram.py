@@ -1,20 +1,25 @@
 """The bilinear form: matrices, determinants, radicals and nullities."""
 
+import random
+from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 import pytest
+import sympy
 
-from dilutetl.ring import GENERIC, LaurentPoly, beta, qnum, root_of_unity
+from dilutetl.ring import (GENERIC, LaurentPoly, beta, qnum, real_cyclotomic_poly,
+                           root_of_unity)
 from dilutetl.diagram_core import all_generators
 from dilutetl.link_modules import (LinComb, LinkState, act, dim_standard,
                                    enumerate_links)
 from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
                            gram_blocks, gram_det_closed, gram_det_direct,
                            gram_determinants, gram_matrix, gram_nullity, gram_product,
-                           radical_basis, tl_gram_matrix, _bareiss_det,
-                           _dense_det, _dense_loops, _dense_nullspace,
-                           _nullity_field, _nullspace_field, _pair_loops,
-                           _tl_nullity)
+                           radical_basis, tl_gram_matrix, _apply, _bareiss, _bareiss_det,
+                           _dense_det, _dense_loops, _dense_nullspace, _divider,
+                           _null_vectors, _nullity_field, _nullspace_field, _pair_loops,
+                           _times_table, _tl_nullity)
 from dilutetl.structure import dim_irr
 from dilutetl.tl_reference import det_gram_tl
 
@@ -187,6 +192,48 @@ def test_echelon_radical_matches_field_elimination(m):
             want = _nullspace_field(tl_gram_matrix(n, k, mode), mode)
             assert [list(v) for v in _dense_nullspace(n, k, mode)] == want, (n, k, m)
             assert _tl_nullity(n, k, mode) == len(want), (n, k, m)
+
+
+def test_divider_is_the_least_integer_multiple_of_the_inverse():
+    """
+    For every m with d = phi(m)/2 >= 2 and seeded random nonzero a in
+    Z[beta] = Z[x]/(psi_m), `_divider` gives a* and D with a * a* = D,
+    D > 0 and gcd(D, a*) = 1: D is the least positive integer divisible
+    by a.
+    """
+    rng = random.Random(11)
+    for m in range(5, 41):
+        psi = real_cyclotomic_poly(m)
+        d = len(psi) - 1
+        if d < 2:
+            continue
+        for bound in (1, 9, 1000) * 5:
+            a = tuple(rng.randint(-bound, bound) for _ in range(d))
+            if not any(a):
+                continue
+            table, den = _divider(a, psi)
+            star = tuple(row[0] for row in table)  # the first column: a* times 1
+            assert _apply(_times_table(a, psi), star) == (den,) + (0,) * (d - 1), (m, a)
+            assert den > 0 and gcd(den, *star) == 1, (m, a, den, star)
+
+
+def test_null_vectors_of_any_integer_rows_match_sympy():
+    """
+    The back-substitution takes any echelon, not only a Gram block's: on
+    seeded random integer matrices of every shape and rank (zero rows and
+    columns included), eliminated over Z, it gives sympy's nullspace basis.
+    """
+    rng = random.Random(3)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        base = [[rng.randint(-4, 4) for _ in range(cols)]
+                for _ in range(rng.randint(0, min(rows, cols)))]
+        mat = [[sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(cols)]
+               for _ in range(rows)]
+        got = _null_vectors(_bareiss([[row] for row in mat], (0, 1))[0], cols, (0, 1))
+        want = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                for vec in sympy.Matrix(mat).nullspace()]
+        assert [[c for (c,) in vec] for vec in got] == want, mat
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])
