@@ -37,7 +37,7 @@ from .diagram_core import VACANT, AlgebraElem, DiluteDiagram, all_generators, gl
 from .link_modules import enumerate_links, LinComb, act
 
 # each tile's edges N, E, S, W are nodes 0..3 of it; its in-tile partners
-_TILE_INNER = {"a": (3, 2, 1, 0), "b": (1, 0, 3, 2), "c": (2, -1, 0, -1)}
+_TILE_INNER = {"a": (3, 2, 1, 0), "b": (1, 0, 3, 2), "c": (2, VACANT, 0, VACANT)}
 # exponent of sqrt(q) and sign, per column and tile state
 _LEFT_WEIGHT = {"a": (1, 1), "b": (-1, -1), "c": (0, 1)}
 _RIGHT_WEIGHT = {"b": (1, 1), "a": (-1, -1), "c": (0, 1)}
@@ -58,7 +58,7 @@ def _tile_links(row):
     """In-tile partners of one row's (left, right) tiles, as glue() nodes 4..11."""
     inner = []
     for c, tile in enumerate(row):
-        inner += [4 + 4 * c + e if e >= 0 else -1 for e in _TILE_INNER[tile]]
+        inner += [4 + 4 * c + e if e >= 0 else e for e in _TILE_INNER[tile]]
     return inner
 
 
@@ -71,7 +71,7 @@ def _row_steps(is_open):
     and right cut ends (None when these are joined to each other), the
     closed loops, the exponent of sqrt(q) and the sign.
     """
-    above = [2, 3, 0, 1] if is_open else [1, 0, -1, -1]
+    above = [2, 3, 0, 1] if is_open else [1, 0, VACANT, VACANT]
     steps = []
     for row in ROW_OPTIONS:
         ends, loops = glue(above + _tile_links(row), _STEP_SEAM)

@@ -7,7 +7,9 @@ slots use a single circular index space: 0..n-1 runs down the left side
 (site 1 at the top) and n..2n-1 runs up the right side, so the right-side
 site s (1-based from the top) is slot 2n-s.  Non-crossing is then simply
 non-interleaving of partner pairs in circular order.  A link state is one
-half of a diagram |x y~|, so both constructors check one rule,
+half of a diagram |x y~|, so both store their points in one encoding,
+the one glue() reads: a point holds its partner's index, VACANT (-1) or,
+in a link state, DEFECT (-2).  Both constructors check one rule,
 planar_pairing(): a non-crossing pairing of points on a line, each
 unpaired point a vacancy or, in a link state, a defect under no pair.
 
@@ -36,8 +38,8 @@ from functools import lru_cache
 from .ring import GENERIC, beta_power
 
 
-VACANT = None
-DEFECT = -2  # glue() input: a string stops at this node
+VACANT = -1  # a point no string meets
+DEFECT = -2  # a link state's loose string: in glue(), a string stops here
 # Entries in each glue memo (products here, actions in link_modules).  An
 # entry took 360-390 bytes at n = 4 and n = 7 under tracemalloc, so a full
 # memo holds under 7 MiB.
@@ -46,7 +48,8 @@ GLUE_MEMO_SIZE = 1 << 14
 
 class DiluteDiagram:
     """
-    An immutable dilute diagram: a pairing array over 2n boundary slots.
+    An immutable dilute diagram: a pairing array over 2n boundary slots,
+    each entry the slot's partner or VACANT.
     Bit s of `west` (of `east`) is set when site s+1 of the left (right)
     side is vacant, so a product a*b can be nonzero only if
     a.east == b.west.
@@ -60,7 +63,7 @@ class DiluteDiagram:
             raise ValueError("a diagram on %d sites has %d slots, not %d"
                              % (n, 2 * n, len(pairing)))
         # counted from slot 2n-1 down, bit s of east is right-side site s+1
-        west, east = planar_pairing(pairing, VACANT)
+        west, east = planar_pairing(pairing)
         self.n = n
         self.pairing = pairing
         self.west = west & ((1 << n) - 1)
@@ -89,16 +92,16 @@ class DiluteDiagram:
 
     def pairs(self):
         """Sorted list of partner pairs (a, b) with a < b."""
-        return sorted((i, p) for i, p in enumerate(self.pairing) if p is not VACANT and i < p)
+        return [(i, p) for i, p in enumerate(self.pairing) if i < p]
 
     def vacant_slots(self):
-        return [i for i, p in enumerate(self.pairing) if p is VACANT]
+        return [i for i, p in enumerate(self.pairing) if p == VACANT]
 
     def left_vacancy_count(self):
         return self.west.bit_count()
 
     def sort_key(self):
-        return tuple(-1 if p is VACANT else p for p in self.pairing)
+        return self.pairing
 
     def __eq__(self, other):
         return isinstance(other, DiluteDiagram) and self.pairing == other.pairing
@@ -138,45 +141,48 @@ class DiluteDiagram:
         return out
 
 
-def planar_pairing(points, vacant, loose=None):
+def planar_pairing(points, loose=False):
     """
-    Check in one pass that the int entries of `points` pair positions on a
-    line (a diagram's slots, cut at slot 0) as an involution without
-    crossings, that every other entry is the marker `vacant` or `loose` (a
-    defect), and that no pair covers a loose point; else raise ValueError
-    naming `points`.  Returns the vacant positions as bitmasks counted from
-    each end: bit i of the second marks position len(points) - 1 - i.
+    Check in one pass that the non-negative int entries of `points` pair
+    positions on a line (a diagram's slots, cut at slot 0) as an involution
+    without crossings, that every other entry is VACANT or, when loose, a
+    DEFECT, and that no pair covers a DEFECT; else raise ValueError naming
+    `points`.  Returns the vacant positions as bitmasks counted from each
+    end: bit i of the second marks position len(points) - 1 - i.
     """
     size = len(points)
     mask = rmask = 0
     ends = []
     for i, p in enumerate(points):
-        if type(p) is int:
+        if type(p) is not int:
+            raise ValueError("point %d is %r, not an int: %r" % (i, p, points))
+        if p >= 0:
             if i < p < size and points[p] == i:
                 ends.append(p)
             elif not (p < i and ends and ends.pop() == i):
-                why = "crosses a pair" if 0 <= p < i and points[p] == i else "does not pair back"
+                why = "crosses a pair" if p < i and points[p] == i else "does not pair back"
                 raise ValueError("point %d pairs with %r, which %s: %r" % (i, p, why, points))
-        elif p == vacant:
+        elif p == VACANT:
             mask |= 1 << i
             rmask |= 1 << (size - 1 - i)
-        elif loose is None or p != loose:
+        elif p != DEFECT or not loose:
             raise ValueError("point %d is %r, neither a partner nor a marker: %r"
                              % (i, p, points))
         elif ends:
-            raise ValueError("loose point %d lies under a pair: %r" % (i, points))
+            raise ValueError("defect %d lies under a pair: %r" % (i, points))
     return mask, rmask
 
 
 def planar_points(n, k, dilute):
     """
-    The n-tuples that planar_pairing(points, "V", "D") accepts with k loose
-    points "D", and with no "V" unless dilute, in text order ('(' < ')' <
-    'D' < 'V'): link states, or on 2n points with k = 0 diagrams.
+    The n-tuples that planar_pairing(points, True) accepts with k DEFECT
+    points, and with no VACANT unless dilute, in text order (arc opening <
+    arc closing < DEFECT < VACANT): link states, or on 2n points with k = 0
+    diagrams.
     """
     if not 0 <= k <= n or not dilute and (n - k) % 2:
         return []
-    out, points, opened = [], [None] * n, []
+    out, points, opened = [], [VACANT] * n, []
 
     def walk(i, loose):
         if i == n:
@@ -193,10 +199,10 @@ def planar_points(n, k, dilute):
             walk(i + 1, loose)
             opened.append(j)
         elif loose:
-            points[i] = "D"
+            points[i] = DEFECT
             walk(i + 1, loose - 1)
         if dilute and owed < n - i:
-            points[i] = "V"
+            points[i] = VACANT
             walk(i + 1, loose)
 
     walk(0, k)
@@ -205,25 +211,22 @@ def planar_points(n, k, dilute):
 
 def transpose_diagram(d):
     """Mirror a diagram left-right (slot j maps to 2n-1-j)."""
-    size = 2 * d.n
-    new = [VACANT] * size
-    for i, p in enumerate(d.pairing):
-        if p is not VACANT:
-            new[size - 1 - i] = size - 1 - p
-    return DiluteDiagram(d.n, new)
+    last = 2 * d.n - 1
+    return DiluteDiagram(d.n, [last - p if p >= 0 else p for p in reversed(d.pairing)])
 
 
 def crossing_count(d):
     """Number of strings with one endpoint on each side."""
-    return sum(1 for i, p in enumerate(d.pairing) if p is not VACANT and i < d.n <= p)
+    return sum(1 for i, p in enumerate(d.pairing) if i < d.n <= p)
 
 
 def glue(inner, seam):
     """
     Glue two planar pieces and follow their strings.  Nodes are 0..N-1;
-    inner[i] is i's partner inside its own piece (-1 for a vacancy, DEFECT
-    where a string stops) and seam[i] the node glued to i across the cut
-    (-1 on the outer boundary).  Returns None when a string meets a
+    inner[i] is i's partner inside its own piece, VACANT or DEFECT (where a
+    string stops), so a diagram's pairing or a link state's sites is its
+    own inner list, and seam[i] the node glued to i across the cut (-1 on
+    the outer boundary).  Returns None when a string meets a
     vacancy, otherwise (ends, loops): ends maps each end of an open path
     (an outer node or a DEFECT) to the path's other end, and loops counts
     the closed loops.  Both lists must be involutions on their
@@ -235,7 +238,7 @@ def glue(inner, seam):
     # first the paths, from every end; what is left unseen lies on loops
     for first in (True, False):
         for start, p in enumerate(inner):
-            if p == -1 or seen[start]:
+            if p == VACANT or seen[start]:
                 continue
             on_seam = p == DEFECT
             if first and not on_seam and seam[start] >= 0:
@@ -246,7 +249,7 @@ def glue(inner, seam):
                 j = seam[i] if on_seam else inner[i]
                 if j < 0 or seen[j]:
                     break
-                if inner[j] == -1:
+                if inner[j] == VACANT:
                     return None
                 i = j
                 on_seam = not on_seam
@@ -258,9 +261,9 @@ def glue(inner, seam):
     return ends, loops
 
 
-def slot_nodes(d, offset=0):
-    """A diagram's pairing as glue() input, its slots numbered from offset."""
-    return [-1 if p is VACANT else p + offset for p in d.pairing]
+def shifted(points, offset):
+    """Points as glue() nodes numbered from offset: partners shift, markers stay."""
+    return tuple([p + offset if p >= 0 else p for p in points])
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +288,7 @@ def multiply_diagrams_raw(a, b):
         return 0, None
     n = a.n
     size = 2 * n
-    ends, loops = glue(slot_nodes(a) + slot_nodes(b, size), product_seam(n))
+    ends, loops = glue(a.pairing + shifted(b.pairing, size), product_seam(n))
     pairing = [VACANT] * size
     for e, o in ends.items():
         pairing[e if e < n else e - size] = o if o < n else o - size
@@ -517,16 +520,11 @@ def projector_pi(z, mode=GENERIC):
     The idempotent |z z~| for a link state z made of defects and vacancies
     only: through-strings at the defect sites, vacancy pairs elsewhere.
     """
+    if z.arcs():
+        raise ValueError("projector requires a defect/vacancy-only state")
     n = z.n
-    pairs = []
-    for s in range(1, n + 1):
-        entry = z.sites[s - 1]
-        if entry == "D":
-            pairs.append((s - 1, 2 * n - s))
-        elif entry != "V":
-            raise ValueError("projector requires a defect/vacancy-only state")
-    d = DiluteDiagram.from_pairs(n, pairs)
-    return AlgebraElem.from_diagram(d, mode)
+    pairs = [(s, 2 * n - 1 - s) for s, p in enumerate(z.sites) if p == DEFECT]
+    return AlgebraElem.from_diagram(DiluteDiagram.from_pairs(n, pairs), mode)
 
 
 DEFAULT_ENUM_CAP = 6
@@ -541,7 +539,5 @@ def enumerate_diagrams(n):
     if n > DEFAULT_ENUM_CAP:
         raise ResourceWarning("diagram enumeration capped at n=%d (asked n=%d)"
                               % (DEFAULT_ENUM_CAP, n))
-    diagrams = [DiluteDiagram(n, [VACANT if p == "V" else p for p in points])
-                for points in planar_points(2 * n, 0, True)]
-    diagrams.sort(key=DiluteDiagram.sort_key)
-    return diagrams
+    return sorted((DiluteDiagram(n, p) for p in planar_points(2 * n, 0, True)),
+                  key=DiluteDiagram.sort_key)

@@ -66,8 +66,8 @@ from math import comb, factorial, lcm
 
 from .ring import (GENERIC, LaurentPoly, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
-from .diagram_core import glue
-from .link_modules import check_same_module, dim_standard, enumerate_dense_links, site_nodes
+from .diagram_core import glue, shifted
+from .link_modules import check_same_module, dim_standard, enumerate_dense_links
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v, occupied_counts
 
 
@@ -87,7 +87,7 @@ def _pair_loops(x, y):
     if x.west != y.west:  # a string meets a vacancy
         return None
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y
-    ends, loops = glue(site_nodes(x) + site_nodes(y, n), _mirror_seam(n))
+    ends, loops = glue(x.sites + shifted(y.sites, n), _mirror_seam(n))
     for e, o in ends.items():
         if (e < n) == (o < n):
             return None  # two defects of the same state joined
@@ -340,9 +340,9 @@ def _nullity_field(mat):
 
 
 def _nullspace_field(mat, mode):
-    """Basis of the (right) nullspace of a square matrix over a field."""
+    """Basis of the (right) nullspace of a matrix over a field."""
     m, pivots = _rref(mat)
-    size = len(m)
+    size = len(mat[0]) if mat else 0
     basis = []
     for fc in (c for c in range(size) if c not in pivots):
         vec = [mode.zero()] * size

@@ -1,9 +1,10 @@
 """
 Link states and the standard modules built on them.
 
-A link state on n sites assigns each site one of: a vacancy, a defect
-(a loose string), or an endpoint of an arc; the arcs pair sites like a
-diagram's strings, and no arc covers a defect (diagram_core.planar_pairing).
+A link state on n sites assigns each site one of: a vacancy (VACANT), a
+defect (DEFECT, a loose string), or an endpoint of an arc (its partner's
+index), in diagram_core's encoding; the arcs pair sites like a diagram's
+strings, and no arc covers a defect (diagram_core.planar_pairing).
 States with exactly k defects form the basis of the k-th standard module;
 the algebra acts by gluing a diagram on the left, with a factor beta per
 closed loop, zero on any string/vacancy mismatch, and removal of strings
@@ -22,14 +23,15 @@ from math import comb
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
                            DiluteDiagram, check_compatible, glue, glued_sum, planar_pairing,
-                           planar_points, product_seam, slot_nodes)
+                           planar_points, product_seam, shifted)
 from .tl_reference import dim_v, occupied_counts
 
 
 class LinkState:
     """
-    An immutable link state; sites is a tuple over {'V','D', partner-int}
-    that obeys a diagram's rule, planar_pairing, with no arc over a 'D'.
+    An immutable link state; sites is a tuple of partner indices, VACANT
+    and DEFECT that obeys a diagram's rule, planar_pairing, with no arc
+    over a DEFECT.  Only text() and from_text() spell the markers V and D.
     Bit i of `west` is set when site i+1 is vacant: the mask faces the
     diagram glued on the state's left, like a diagram's own `west`.
     """
@@ -38,7 +40,7 @@ class LinkState:
 
     def __init__(self, sites):
         sites = tuple(sites)
-        self.west = planar_pairing(sites, "V", "D")[0]
+        self.west = planar_pairing(sites, True)[0]
         self.n = len(sites)
         self.sites = sites
 
@@ -52,28 +54,23 @@ class LinkState:
         return v
 
     def defect_count(self):
-        return self.sites.count("D")
+        return self.sites.count(DEFECT)
 
     def vacancy_positions(self):
-        return tuple(i for i, s in enumerate(self.sites) if s == "V")
+        return tuple(i for i, s in enumerate(self.sites) if s == VACANT)
 
     def arcs(self):
-        return [(i, s) for i, s in enumerate(self.sites) if isinstance(s, int) and s > i]
+        return [(i, s) for i, s in enumerate(self.sites) if s > i]
 
     def text(self):
         """String form, one character per site from the top: V, D, ( or )."""
-        out = []
-        for i, s in enumerate(self.sites):
-            if s in ("V", "D"):
-                out.append(s)
-            else:
-                out.append("(" if s > i else ")")
-        return "".join(out)
+        return "".join("V" if s == VACANT else "D" if s == DEFECT else "(" if s > i else ")"
+                       for i, s in enumerate(self.sites))
 
     @staticmethod
     def from_text(text):
         """The state text() writes; LinkState rejects other characters and lone parentheses."""
-        sites, opened = list(text), []
+        sites, opened = [{"V": VACANT, "D": DEFECT}.get(ch, ch) for ch in text], []
         for i, ch in enumerate(text):
             if ch == "(":
                 opened.append(i)
@@ -125,7 +122,7 @@ def enumerate_links(n, k):
 def enumerate_dense_links(n, k):
     """
     The link states on n sites with k defects and no vacancy, ordered by
-    text() ('(' < ')' < 'D').
+    text() (arc opening < arc closing < DEFECT).
     """
     return tuple(map(LinkState, planar_points(n, k, False)))
 
@@ -152,11 +149,6 @@ def dim_standard(n, k):
     return by_blocks
 
 
-def site_nodes(v, offset=0):
-    """A link state's sites as glue() input, numbered from offset."""
-    return [-1 if s == "V" else DEFECT if s == "D" else s + offset for s in v.sites]
-
-
 @lru_cache(maxsize=GLUE_MEMO_SIZE)
 def act_diagram_raw(d, v):
     """
@@ -173,11 +165,11 @@ def act_diagram_raw(d, v):
     size = 2 * n
     # nodes: the diagram's slots, then the link sites where a right-hand
     # factor's left slots would be, so the product's seam serves
-    ends, loops = glue(slot_nodes(d) + site_nodes(v, size), product_seam(n))
-    new_sites = ["V" if p is VACANT else None for p in d.pairing[:n]]
+    ends, loops = glue(d.pairing + shifted(v.sites, size), product_seam(n))
+    new_sites = list(d.pairing[:n])  # each non-vacant left slot ends a path
     for e, o in ends.items():
         if e < n:
-            new_sites[e] = o if o < n else "D"
+            new_sites[e] = o if o < n else DEFECT
     return loops, LinkState._glued(tuple(new_sites), d.west)
 
 
@@ -218,17 +210,11 @@ def diagram_from_links(x, y):
     crossing strings.  Both states must have the same defect count.
     """
     check_same_module(x, y)
-    n = x.n
-    pairs = []
-    for i, j in x.arcs():
-        pairs.append((i, j))
-    for i, j in y.arcs():
-        pairs.append((2 * n - 1 - i, 2 * n - 1 - j))
-    xd = [i for i, s in enumerate(x.sites) if s == "D"]
-    yd = [2 * n - 1 - i for i, s in enumerate(y.sites) if s == "D"]
-    for a, b in zip(xd, yd):
-        pairs.append((a, b))
-    return DiluteDiagram.from_pairs(n, pairs)
+    last = 2 * x.n - 1
+    pairs = x.arcs() + [(last - i, last - j) for i, j in y.arcs()]
+    xd = [i for i, s in enumerate(x.sites) if s == DEFECT]
+    yd = [last - i for i, s in enumerate(y.sites) if s == DEFECT]
+    return DiluteDiagram.from_pairs(x.n, pairs + list(zip(xd, yd)))
 
 
 def links_of_diagram(d):
@@ -236,18 +222,9 @@ def links_of_diagram(d):
     Split a diagram into its (left, right) link states: same-side strings
     stay arcs, crossing strings become defects, vacancies stay vacancies.
     """
-    n = d.n
-    left = [None] * n
-    right = [None] * n
-    for i, p in enumerate(d.pairing):
-        site = i if i < n else 2 * n - 1 - i
-        half = left if i < n else right
-        if p is VACANT:
-            half[site] = "V"
-        elif (i < n) != (p < n):
-            half[site] = "D"
-        else:
-            half[site] = p if i < n else 2 * n - 1 - p
+    n, last = d.n, 2 * d.n - 1
+    left = [DEFECT if p >= n else p for p in d.pairing[:n]]
+    right = [last - p if p >= n else DEFECT if p >= 0 else p for p in reversed(d.pairing[n:])]
     return LinkState(left), LinkState(right)
 
 
@@ -265,10 +242,10 @@ def theta(i, v):
     if i not in (-1, 0, 1):
         raise ValueError("theta takes -1, 0 or 1, not %r" % (i,))
     if i == 1:
-        return LinkState(v.sites + ("D",))
+        return LinkState(v.sites + (DEFECT,))
     if i == 0:
-        return LinkState(v.sites + ("V",))
-    defects = [j for j, s in enumerate(v.sites) if s == "D"]
+        return LinkState(v.sites + (VACANT,))
+    defects = [j for j, s in enumerate(v.sites) if s == DEFECT]
     if not defects:
         return None
     low = defects[-1]
@@ -299,20 +276,20 @@ def restriction_psi(v):
     if not v.sites:
         raise ValueError("a 0-site state has no bottom site to remove")
     last = v.sites[-1]
-    if last in ("V", "D"):
+    if last < 0:
         return None
-    if not (isinstance(last, int) and 0 <= last < v.n - 1):
+    if last >= v.n - 1:
         # LinkState's constructor rules this out
         raise CrossCheckError("the bottom site of %r closes no arc from above"
                               % (v.sites,))
     sites = list(v.sites[:-1])
-    sites[last] = "D"
+    sites[last] = DEFECT
     return LinkState(sites)
 
 
 def base_vd_state(n, k):
     """The defect/vacancy state with vacancies on top and defects below."""
-    return LinkState(("V",) * (n - k) + ("D",) * k)
+    return LinkState((VACANT,) * (n - k) + (DEFECT,) * k)
 
 
 def induced_basis(n, k):

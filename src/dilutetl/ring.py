@@ -382,9 +382,10 @@ def times_beta(a, psi):
 def real_beta_power(m, j):
     """beta^j in Z[beta] = Z[x]/(psi_m), as d integer coordinates."""
     psi = real_cyclotomic_poly(m)
-    if j == 0:
-        return (1,) + (0,) * (len(psi) - 2)
-    return times_beta(real_beta_power(m, j - 1), psi)
+    out = (1,) + (0,) * (len(psi) - 2)
+    for _ in range(j):
+        out = times_beta(out, psi)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -122,8 +122,9 @@ def principal_dims(n, ell):
 def loewy_type(n, k, ell):
     """
     Shape class of the principal indecomposable: 'a' on a critical line,
-    'd' below the first one, 'b' when both outer partners index modules,
-    'c' when the upper-upper partner falls beyond n.
+    'd' when the lower partner k_minus lies outside 0..n, else 'b' when
+    k_plus + 2(ell - 1) <= n and 'c' when it exceeds n.  That bound is the
+    upper partner of k_plus only when (k + 1) mod ell = ell - 1.
     """
     info = pair_info(k, ell, n)
     if info["critical"]:

@@ -64,23 +64,24 @@ def is_critical(k, ell):
     return (k + 1) % ell == 0
 
 
-@lru_cache(maxsize=None)
 def dim_irr_tl(n, k, ell=None):
     """
     Dimension of the dense irreducible head of the (n, k) standard
     module.  Generic (ell None): the full standard dimension.  At a root
-    of unity the critical modules stay irreducible and the rest obey a
-    two-term recurrence in n, D(m, j) = D(m-1, j-1) + D(m-1, j+1) (the
-    second term dropped when j + 1 is critical), run as a loop over the
-    rows m <= n within the cone of j that (n, k) depends on.
+    of unity the critical modules stay irreducible; for the rest the
+    radical of V(n, k) is the head of V(n, k+), k+ the reflection of k
+    across the next critical line (Ridout & Saint-Aubin, arXiv:1204.4505),
+    so the dimension is the alternating sum of dim V(n, k_i) over the
+    reflection orbit k_0 = k, k_(i+1) = k_i + 2(ell - (k_i + 1) mod ell),
+    up to n.
     """
     if k < 0 or k > n or (n - k) % 2:
         return 0
     if ell is None or is_critical(k, ell):
         return dim_v(n, k)
-    row = {}
-    for m in range(n + 1):
-        row = {j: dim_v(m, j) if is_critical(j, ell) else 1 if j == m
-               else row.get(j - 1, 0) + (0 if is_critical(j + 1, ell) else row.get(j + 1, 0))
-               for j in range(max(m % 2, k + m - n), min(m, k + n - m) + 1, 2)}
-    return row[k]
+    total, sign = 0, 1
+    while k <= n:
+        total += sign * dim_v(n, k)
+        k += 2 * (ell - (k + 1) % ell)
+        sign = -sign
+    return total

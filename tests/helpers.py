@@ -10,7 +10,7 @@ from itertools import product
 
 from dilutetl import cli
 from dilutetl.ring import GENERIC, beta_power
-from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, glue,
+from dilutetl.diagram_core import (VACANT, AlgebraElem, DiluteDiagram, glue,
                                    multiply_diagrams_raw)
 from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
                            gram_matrix, radical_basis, tl_gram_matrix)
@@ -146,7 +146,7 @@ def product_loops(a, b):
         return x
 
     strings = [(off + i, off + p) for off, d in ((0, a), (size, b))
-               for i, p in enumerate(d.pairing) if p is not None]
+               for i, p in enumerate(d.pairing) if p != VACANT]
     for x, y in strings + [(size - s, size + s - 1) for s in range(1, n + 1)]:
         root[find(x)] = find(y)
     outer = {find(x) for x in list(range(n)) + list(range(size + n, 2 * size))}
@@ -207,7 +207,7 @@ def build_F_enumerated(n, mode=GENERIC):
         assert sexp % 2 == 0, "half powers of q must cancel"
         coeff = mode.q_power(sexp // 2) * mode.const(sign)
         ends, loops = glue(inner, seam)
-        pairing = [None] * (2 * n)
+        pairing = [VACANT] * (2 * n)
         for e, o in ends.items():
             pairing[slot(e)] = slot(o)
         d = DiluteDiagram(n, pairing)

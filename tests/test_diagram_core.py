@@ -104,7 +104,7 @@ def test_malformed_input_raises_under_optimize():
     code = "\n".join([
         "from math import gcd",
         "from dilutetl import central, link_modules, ring, structure",
-        "from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, identity",
+        "from dilutetl.diagram_core import VACANT, AlgebraElem, DiluteDiagram, identity",
         "from dilutetl.link_modules import (LinComb, LinkState, act, diagram_from_links,",
         "                                   restriction_psi, theta)",
         "from dilutetl.gram import gram_nullity",
@@ -133,14 +133,14 @@ def test_malformed_input_raises_under_optimize():
         "        ring.gcd = gcd",
         "def bottom_arc_broken():",
         "    v = LinkState.__new__(LinkState)",  # skips the constructor's checks
-        "    v.n, v.sites = 2, ('V', 5)",
+        "    v.n, v.sites = 2, (VACANT, 5)",
         "    restriction_psi(v)",
         "d2 = identity(2).terms",
         "u1, u2 = LinkState.from_text('D'), LinkState.from_text('DD')",
         "s1, s2 = LinComb.from_state(u1), LinComb.from_state(u2)",
         "m6, m8 = root_of_unity(6), root_of_unity(8)",
         "cases = [(ValueError, lambda: DiluteDiagram(2, (2, 3, 0, 1))),",
-        "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, None))),",
+        "         (ValueError, lambda: DiluteDiagram(2, (1, 2, 0, VACANT))),",
         "         (ValueError, lambda: DiluteDiagram.from_json_dict(",
         "             {'n': 1, 'pairs': [[0, 1]], 'vacant': [0]})),",
         "         (ValueError, lambda: LinkState.from_text('(D)')),",
@@ -296,7 +296,7 @@ def test_parity_orthogonality():
 def test_parity_counts():
     for d in enumerate_diagrams(3):
         left = d.left_vacancy_count()
-        right = sum(1 for s in range(3, 6) if d.pairing[s] is None)
+        right = sum(1 for s in range(3, 6) if d.pairing[s] == VACANT)
         assert left % 2 == right % 2
 
 
@@ -388,15 +388,15 @@ def test_vacancy_masks_match_sites():
     """
     for n in range(1, 5):
         for d in enumerate_diagrams(n):
-            west = sum(1 << s for s in range(n) if d.pairing[s] is VACANT)
+            west = sum(1 << s for s in range(n) if d.pairing[s] == VACANT)
             east = sum(1 << s for s in range(n)
-                       if d.pairing[2 * n - 1 - s] is VACANT)
+                       if d.pairing[2 * n - 1 - s] == VACANT)
             assert (d.west, d.east) == (west, east), d
     for n in range(7):
         for k in range(n + 1):
             for v in enumerate_links(n, k):
                 assert v.west == sum(1 << i for i, s in enumerate(v.sites)
-                                    if s == "V"), v
+                                    if s == VACANT), v
 
 
 @pytest.mark.parametrize("mode", [GENERIC, root_of_unity(6), root_of_unity(8)],

@@ -10,7 +10,7 @@ import sympy
 
 from dilutetl.ring import (GENERIC, LaurentPoly, beta, qnum, real_cyclotomic_poly,
                            root_of_unity)
-from dilutetl.diagram_core import all_generators
+from dilutetl.diagram_core import VACANT, all_generators
 from dilutetl.link_modules import (LinComb, LinkState, act, dim_standard,
                                    enumerate_links)
 from dilutetl.gram import (dim_irreducible, dim_irreducible_formula,
@@ -144,7 +144,7 @@ def _dense_sizes(max_m):
 def test_dense_loops_match_ordered_pairs():
     """The mirrored upper triangle equals gluing every ordered pair."""
     for m, k in _dense_sizes(8):
-        basis = [v for v in enumerate_links(m, k) if "V" not in v.sites]
+        basis = [v for v in enumerate_links(m, k) if VACANT not in v.sites]
         want = tuple(tuple(_pair_loops(u, v) for v in basis) for u in basis)
         assert _dense_loops(m, k) == want, (m, k)
 
@@ -234,6 +234,48 @@ def test_null_vectors_of_any_integer_rows_match_sympy():
         want = [[Fraction(int(v.p), int(v.q)) for v in vec]
                 for vec in sympy.Matrix(mat).nullspace()]
         assert [[c for (c,) in vec] for vec in got] == want, mat
+
+
+def _random_rows(rng, rows, cols, d):
+    """
+    A rows x cols matrix of random rank over Z[beta], each cell d
+    coordinates: every row an integer combination of random base rows.
+    """
+    base = [[[rng.randint(-4, 4) for _ in range(d)] for _ in range(cols)]
+            for _ in range(rng.randint(0, min(rows, cols)))]
+    out = []
+    for _ in range(rows):
+        f = [rng.randint(-2, 2) for _ in base]
+        out.append([tuple(sum(c * b[j][i] for c, b in zip(f, base)) for i in range(d))
+                    for j in range(cols)])
+    return out
+
+
+def test_nullspace_field_reads_the_matrix_width():
+    """
+    The field oracle gives one null vector per free column of a matrix of
+    any shape, each as long as a row: sympy's basis on integer matrices,
+    and `_null_vectors`' on matrices over Z[beta] at m = 5.
+    """
+    mode, psi = root_of_unity(5), real_cyclotomic_poly(5)
+    b = beta(mode)
+    one_by_four = [[mode.const(c) for c in (1, 2, 0, -1)]]
+    assert [len(v) for v in _nullspace_field(one_by_four, mode)] == [4, 4, 4]
+    rng = random.Random(5)
+    for _ in range(60):
+        mat = _random_rows(rng, rng.randint(1, 5), rng.randint(1, 6), 1)
+        want = [[mode.const(Fraction(int(v.p), int(v.q))) for v in vec]
+                for vec in sympy.Matrix([[c for (c,) in row] for row in mat]).nullspace()]
+        got = _nullspace_field([[mode.const(c) for (c,) in row] for row in mat], mode)
+        assert got == want, mat
+    for _ in range(40):
+        cols = rng.randint(1, 5)
+        mat = _random_rows(rng, rng.randint(1, 4), cols, 2)
+        vectors = _null_vectors(_bareiss([[list(c) for c in zip(*row)] for row in mat], psi)[0],
+                                cols, psi)
+        want = [[c0 + c1 * b for c0, c1 in vec] for vec in vectors]
+        cells = [[c0 + c1 * b for c0, c1 in row] for row in mat]
+        assert _nullspace_field(cells, mode) == want, mat
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])

@@ -10,7 +10,7 @@ from helpers import act_fold, frac_rank
 
 from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
 from dilutetl.central import build_F
-from dilutetl.diagram_core import (AlgebraElem, DiluteDiagram, all_generators,
+from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram, all_generators,
                                    enumerate_diagrams, identity,
                                    multiply_diagrams_raw, transpose)
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
@@ -52,7 +52,7 @@ def test_invalid_states_rejected():
     with pytest.raises(ValueError):
         LinkState.from_text("())")
     with pytest.raises(ValueError):
-        LinkState((2, "V", 1))  # partners that do not point at each other
+        LinkState((2, VACANT, 1))  # partners that do not point at each other
     with pytest.raises(ValueError):
         LinkState((2, 3, 0, 1))  # crossing arcs
 
@@ -61,19 +61,19 @@ def test_planar_rule_exhaustive():
     """
     The constructors accept exactly the states and diagrams that the
     enumerators build by other algorithms, and reject every entry that is
-    neither an int nor a marker.
+    neither a partner index nor a marker (a DEFECT in a diagram).
     """
     for n in range(6):
         want = {v for k in range(n + 1) for v in enumerate_links(n, k)}
-        assert _accepted(LinkState, product(("V", "D", *range(n)), repeat=n)) == want, n
+        assert _accepted(LinkState, product((VACANT, DEFECT, *range(n)), repeat=n)) == want, n
     for n in range(4):
         got = _accepted(lambda p: DiluteDiagram(n, p),
-                        product((None, *range(2 * n)), repeat=2 * n))
+                        product((VACANT, DEFECT, *range(2 * n)), repeat=2 * n))
         assert got == set(enumerate_diagrams(n)), n
-    for bad in ("x", 1.0, True):
-        for make in (lambda: LinkState((bad, 0)), lambda: LinkState(("V", bad)),
+    for bad in ("x", 1.0, True, None, "V", "D", -3, -1.0):
+        for make in (lambda: LinkState((bad, 0)), lambda: LinkState((VACANT, bad)),
                      lambda: DiluteDiagram(1, (bad, 0)),
-                     lambda: DiluteDiagram(1, (bad, None))):
+                     lambda: DiluteDiagram(1, (bad, VACANT))):
             with pytest.raises(ValueError):
                 make()
 
@@ -99,7 +99,7 @@ def test_dense_enumeration_matches_filtered():
     """The states without vacancies, built directly, in the filtered order."""
     for n in range(11):
         for k in range(-1, n + 2):
-            want = tuple(v for v in enumerate_links(n, k) if "V" not in v.sites)
+            want = tuple(v for v in enumerate_links(n, k) if VACANT not in v.sites)
             assert enumerate_dense_links(n, k) == want, (n, k)
 
 

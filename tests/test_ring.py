@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.densearith import dup_rem
 from hypothesis import given, settings, strategies as st
 
 from dilutetl.ring import (CycloElem, GENERIC, LaurentPoly, QMode, beta,
@@ -146,6 +148,24 @@ def test_real_cyclotomic_poly(m):
         coords = real_beta_power(m, j)
         assert sum((c * powers[i] for i, c in enumerate(coords)),
                    mode.zero()) == bj, j
+
+
+def test_real_beta_power_on_a_cold_memo():
+    """
+    beta^j is built by a loop, not one recursion per power, so a cold memo
+    reaches j = 3000; every power is the remainder of x^j modulo psi_m.
+    """
+    def want(m, j):
+        psi = real_cyclotomic_poly(m)
+        rem = dup_rem([ZZ(1)] + [ZZ(0)] * j, [ZZ(c) for c in psi[::-1]], ZZ)[::-1]
+        return tuple(map(int, rem)) + (0,) * (len(psi) - 1 - len(rem))
+
+    real_beta_power.cache_clear()
+    assert real_beta_power(5, 3000) == want(5, 3000)
+    real_beta_power.cache_clear()
+    for m in range(5, 41):
+        for j in range(41):
+            assert real_beta_power(m, j) == want(m, j), (m, j)
 
 
 def _complex_eval(elem):

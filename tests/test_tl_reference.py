@@ -85,7 +85,8 @@ def test_dim_irr_tl_critical_full():
 
 
 def test_dim_irr_tl_loop_matches_recursion():
+    """The sum over the reflection orbit equals the recurrence in n, out-of-range k too."""
     for ell in range(2, 9):
         for n in range(61):
-            for k in range(n + 1):
+            for k in range(-1, n + 2):
                 assert dim_irr_tl(n, k, ell) == dim_irr_tl_recursive(n, k, ell), (n, k, ell)
