@@ -31,9 +31,14 @@ pair (and the action of a diagram on a link state in link_modules), in a
 memo of GLUE_MEMO_SIZE entries shared by every mode and every caller.  A glued result is
 built without re-validation: its pairing is planar by construction and
 its masks are the outer sides' masks.
+One diagram object lives per pairing, in a weak table (hash-consing), so
+equality is identity and memos, dicts and sets hash diagrams by address.
+The constructor validates before it looks up; a glued result is looked
+up before it is built.
 """
 
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .ring import GENERIC, beta_power
 
@@ -49,35 +54,42 @@ GLUE_MEMO_SIZE = 1 << 14
 class DiluteDiagram:
     """
     An immutable dilute diagram: a pairing array over 2n boundary slots,
-    each entry the slot's partner or VACANT.
+    each entry the slot's partner or VACANT.  One object lives per
+    pairing, so equality is identity and hashing is by address.
     Bit s of `west` (of `east`) is set when site s+1 of the left (right)
     side is vacant, so a product a*b can be nonzero only if
     a.east == b.west.
     """
 
-    __slots__ = ("n", "pairing", "west", "east")
+    __slots__ = ("n", "pairing", "west", "east", "__weakref__")
+    # the live diagram of each pairing; it holds none that no one else holds
+    _live = WeakValueDictionary()
 
-    def __init__(self, n, pairing):
+    def __new__(cls, n, pairing):
         pairing = tuple(pairing)
         if len(pairing) != 2 * n:
             raise ValueError("a diagram on %d sites has %d slots, not %d"
                              % (n, 2 * n, len(pairing)))
         # counted from slot 2n-1 down, bit s of east is right-side site s+1
         west, east = planar_pairing(pairing)
-        self.n = n
-        self.pairing = pairing
-        self.west = west & ((1 << n) - 1)
-        self.east = east & ((1 << n) - 1)
+        mask = (1 << n) - 1
+        return cls._glued(len(pairing) // 2, pairing, west & mask, east & mask)
 
     @classmethod
     def _glued(cls, n, pairing, west, east):
-        """A diagram from a planar pairing tuple and its masks, unchecked."""
-        d = object.__new__(cls)
-        d.n = n
-        d.pairing = pairing
-        d.west = west
-        d.east = east
+        """The diagram of a planar pairing tuple and its masks, unchecked."""
+        d = cls._live.get(pairing)
+        if d is None:
+            d = object.__new__(cls)
+            d.n = n
+            d.pairing = pairing
+            d.west = west
+            d.east = east
+            cls._live[pairing] = d
         return d
+
+    def __reduce__(self):
+        return DiluteDiagram, (self.n, self.pairing)
 
     @staticmethod
     def from_pairs(n, pairs):
@@ -102,12 +114,6 @@ class DiluteDiagram:
 
     def sort_key(self):
         return self.pairing
-
-    def __eq__(self, other):
-        return isinstance(other, DiluteDiagram) and self.pairing == other.pairing
-
-    def __hash__(self):
-        return hash(self.pairing)
 
     def __repr__(self):
         return "DiluteDiagram(n=%d, pairs=%s, vacant=%s)" % (
@@ -427,8 +433,9 @@ class AlgebraElem(Combination):
         return hash((self.n, frozenset(self.terms.items())))
 
 
+@lru_cache(maxsize=64)
 def identity(n, mode=GENERIC):
-    """The unit: the sum of 2^n diagrams (string or vacancy pair per site)."""
+    """The unit, shared: the sum of 2^n diagrams (string or vacancy pair per site)."""
     return _dashed_sum(n, [], range(1, n + 1), mode)
 
 
@@ -484,8 +491,9 @@ def generator(name, i, n, mode=GENERIC):
     raise ValueError("unknown generator %r" % name)
 
 
+@lru_cache(maxsize=64)
 def all_generators(n, mode=GENERIC):
-    """All generator elements of the algebra, as (label, element) pairs."""
+    """All generator elements of the algebra, a tuple of (label, element) pairs; shared."""
     out = []
     for i in range(1, n + 1):
         out.append(("e%d" % i, generator("e", i, n, mode)))
@@ -493,7 +501,7 @@ def all_generators(n, mode=GENERIC):
     for i in range(1, n):
         for name in ("a", "at", "b", "bt"):
             out.append(("%s%d" % (name, i), generator(name, i, n, mode)))
-    return out
+    return tuple(out)
 
 
 def transpose(a):

@@ -66,28 +66,29 @@ from math import comb, factorial, lcm
 
 from .ring import (GENERIC, LaurentPoly, beta_power, laurent_product,
                    real_beta_power, real_cyclotomic_poly, times_beta)
-from .diagram_core import glue, shifted
-from .link_modules import check_same_module, dim_standard, enumerate_dense_links
+from .diagram_core import glue, planar_points, shifted
+from .link_modules import check_same_module, dim_standard
 from .tl_reference import det_gram_tl, dim_irr_tl, dim_v, occupied_counts
 
 
 def gram_product(x, y, mode=GENERIC):
     """Pairing of two same-size link states with the same defect count."""
-    loops = _pair_loops(x, y)
+    check_same_module(x, y)
+    if x.west != y.west:  # a string meets a vacancy
+        return mode.zero()
+    loops = _pair_loops(x.sites, y.sites)
     return mode.zero() if loops is None else beta_power(mode, loops)
 
 
-def _pair_loops(x, y):
+def _pair_loops(xs, ys):
     """
-    The number of closed loops of the pairing of x and y, or None where
-    the pairing vanishes; the same in every mode.
+    The number of closed loops of the pairing of two states' sites tuples
+    of one length, or None where the pairing vanishes; the same in every
+    mode.
     """
-    check_same_module(x, y)
-    n = x.n
-    if x.west != y.west:  # a string meets a vacancy
-        return None
+    n = len(xs)
     # nodes: x's sites, then y's sites; site i of x is glued to site i of y
-    ends, loops = glue(x.sites + shifted(y.sites, n), _mirror_seam(n))
+    ends, loops = glue(xs + shifted(ys, n), _mirror_seam(n))
     for e, o in ends.items():
         if (e < n) == (o < n):
             return None  # two defects of the same state joined
@@ -223,10 +224,10 @@ def tl_gram_matrix(m, k, mode=GENERIC):
 def _dense_loops(m, k):
     """
     The dense (m, k) loop matrix, built once for every mode: the loop
-    count of each pairing of two states without vacancies, None where it
-    vanishes.
+    count of each pairing of two states without vacancies (the sites
+    tuples of `planar_points`, in text order), None where it vanishes.
     """
-    basis = enumerate_dense_links(m, k)
+    basis = planar_points(m, k, False)
     rows = [[None] * len(basis) for _ in basis]
     for i, u in enumerate(basis):  # the pairing is symmetric: glue i <= j
         for j in range(i, len(basis)):
@@ -333,10 +334,10 @@ def _rref(mat):
 
 def _nullity_field(mat):
     """
-    Nullity of a square matrix over a field (Gaussian elimination), the
-    field-side oracle of the rank over Z[beta].
+    Nullity of a matrix over a field (Gaussian elimination): its column
+    count minus its rank, the field-side oracle of the rank over Z[beta].
     """
-    return len(mat) - len(_rref(mat)[1])
+    return (len(mat[0]) if mat else 0) - len(_rref(mat)[1])
 
 
 def _nullspace_field(mat, mode):

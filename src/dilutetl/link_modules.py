@@ -15,10 +15,13 @@ its vacancy pattern as an int mask (`west`, compared with a diagram's
 `east`).  The glued state and loop count of a (diagram, state) pair are
 memoised, ring-free, like products, and `act` sums them with
 diagram_core's glued_sum, which glues only the pairs whose masks agree.
+Like a diagram, one LinkState object lives per sites tuple, in a weak
+table, so equality is identity and states hash by address.
 """
 
 from functools import lru_cache
 from math import comb
+from weakref import WeakValueDictionary
 
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
@@ -33,25 +36,32 @@ class LinkState:
     and DEFECT that obeys a diagram's rule, planar_pairing, with no arc
     over a DEFECT.  Only text() and from_text() spell the markers V and D.
     Bit i of `west` is set when site i+1 is vacant: the mask faces the
-    diagram glued on the state's left, like a diagram's own `west`.
+    diagram glued on the state's left, like a diagram's own `west`.  One
+    object lives per sites tuple, so equality is identity.
     """
 
-    __slots__ = ("n", "sites", "west")
+    __slots__ = ("n", "sites", "west", "__weakref__")
+    # the live state of each sites tuple; it holds none that no one else holds
+    _live = WeakValueDictionary()
 
-    def __init__(self, sites):
+    def __new__(cls, sites):
         sites = tuple(sites)
-        self.west = planar_pairing(sites, True)[0]
-        self.n = len(sites)
-        self.sites = sites
+        return cls._glued(sites, planar_pairing(sites, True)[0])
 
     @classmethod
     def _glued(cls, sites, west):
-        """A state from a planar sites tuple and its vacancy mask, unchecked."""
-        v = object.__new__(cls)
-        v.n = len(sites)
-        v.sites = sites
-        v.west = west
+        """The state of a planar sites tuple and its vacancy mask, unchecked."""
+        v = cls._live.get(sites)
+        if v is None:
+            v = object.__new__(cls)
+            v.n = len(sites)
+            v.sites = sites
+            v.west = west
+            cls._live[sites] = v
         return v
+
+    def __reduce__(self):
+        return LinkState, (self.sites,)
 
     def defect_count(self):
         return self.sites.count(DEFECT)
@@ -83,12 +93,6 @@ class LinkState:
         vac = self.vacancy_positions()
         return (len(vac), vac, self.text())
 
-    def __eq__(self, other):
-        return isinstance(other, LinkState) and self.sites == other.sites
-
-    def __hash__(self):
-        return hash(self.sites)
-
     def __repr__(self):
         return "LinkState(%s)" % self.text()
 
@@ -117,14 +121,6 @@ def enumerate_links(n, k):
     then text().
     """
     return tuple(sorted(map(LinkState, planar_points(n, k, True)), key=LinkState.sort_key))
-
-
-def enumerate_dense_links(n, k):
-    """
-    The link states on n sites with k defects and no vacancy, ordered by
-    text() (arc opening < arc closing < DEFECT).
-    """
-    return tuple(map(LinkState, planar_points(n, k, False)))
 
 
 def _trinomial(n, k):
@@ -221,11 +217,14 @@ def links_of_diagram(d):
     """
     Split a diagram into its (left, right) link states: same-side strings
     stay arcs, crossing strings become defects, vacancies stay vacancies.
+    Both halves are planar, and their vacancy masks are the diagram's
+    `west` and `east`.
     """
     n, last = d.n, 2 * d.n - 1
-    left = [DEFECT if p >= n else p for p in d.pairing[:n]]
-    right = [last - p if p >= n else DEFECT if p >= 0 else p for p in reversed(d.pairing[n:])]
-    return LinkState(left), LinkState(right)
+    left = tuple([DEFECT if p >= n else p for p in d.pairing[:n]])
+    right = tuple([last - p if p >= n else DEFECT if p >= 0 else p
+                   for p in reversed(d.pairing[n:])])
+    return LinkState._glued(left, d.west), LinkState._glued(right, d.east)
 
 
 def enumerate_vd_states(n, k):

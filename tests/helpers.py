@@ -11,7 +11,7 @@ from itertools import product
 from dilutetl import cli
 from dilutetl.ring import GENERIC, beta_power
 from dilutetl.diagram_core import (VACANT, AlgebraElem, DiluteDiagram, glue,
-                                   multiply_diagrams_raw)
+                                   multiply_diagrams_raw, planar_points)
 from dilutetl.gram import (_bareiss_det, gram_blocks, gram_det_closed,
                            gram_matrix, radical_basis, tl_gram_matrix)
 from dilutetl.link_modules import LinComb, LinkState, act_diagram_raw, dim_standard
@@ -33,6 +33,15 @@ def motzkin(n):
         return 1
     return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k)
                                 for k in range(n - 1))
+
+
+def enumerate_dense_links(n, k):
+    """
+    The link states on n sites with k defects and no vacancy, ordered by
+    text() (arc opening < arc closing < DEFECT): the basis whose sites
+    tuples `gram._dense_loops` pairs.
+    """
+    return tuple(map(LinkState, planar_points(n, k, False)))
 
 
 @lru_cache(maxsize=None)

@@ -145,7 +145,7 @@ def test_dense_loops_match_ordered_pairs():
     """The mirrored upper triangle equals gluing every ordered pair."""
     for m, k in _dense_sizes(8):
         basis = [v for v in enumerate_links(m, k) if VACANT not in v.sites]
-        want = tuple(tuple(_pair_loops(u, v) for v in basis) for u in basis)
+        want = tuple(tuple(_pair_loops(u.sites, v.sites) for v in basis) for u in basis)
         assert _dense_loops(m, k) == want, (m, k)
 
 
@@ -276,6 +276,28 @@ def test_nullspace_field_reads_the_matrix_width():
         want = [[c0 + c1 * b for c0, c1 in vec] for vec in vectors]
         cells = [[c0 + c1 * b for c0, c1 in row] for row in mat]
         assert _nullspace_field(cells, mode) == want, mat
+
+
+def test_nullity_field_is_columns_minus_rank():
+    """
+    The field oracle's nullity counts the free columns of a matrix of any
+    shape: 3 for the row (1, 2, 0, -1), 0 for the column (1, 2, 3), and
+    columns minus sympy's rank on seeded integer matrices at m = 5.
+    """
+    mode = root_of_unity(5)
+
+    def cells(mat):
+        return [[mode.const(c) for c in row] for row in mat]
+
+    assert _nullity_field(cells([[1, 2, 0, -1]])) == 3
+    assert _nullity_field(cells([[1], [2], [3]])) == 0
+    rng = random.Random(11)
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            for _ in range(3):
+                mat = [[c for (c,) in row] for row in _random_rows(rng, rows, cols, 1)]
+                want = cols - sympy.Matrix(mat).rank()
+                assert _nullity_field(cells(mat)) == want, mat
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])

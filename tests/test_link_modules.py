@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import act_fold, frac_rank
+from helpers import act_fold, enumerate_dense_links, frac_rank
 
 from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
 from dilutetl.central import build_F
@@ -16,8 +16,7 @@ from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram, a
 from dilutetl.link_modules import (LinComb, LinkState, act, act_diagram,
                                    act_diagram_raw,
                                    base_vd_state, diagram_from_links,
-                                   dim_standard, enumerate_dense_links,
-                                   enumerate_links,
+                                   dim_standard, enumerate_links,
                                    enumerate_vd_states, induced_basis,
                                    links_of_diagram, phi_iso, restriction_psi,
                                    theta)
