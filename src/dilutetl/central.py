@@ -23,18 +23,29 @@ the cut ends are open; states that coincide are merged.  Each state
 carries integer counts per (exponent of sqrt(q), closed loops), the sign
 folded into the count.  The bottom cup then joins the two open slots or
 closes one more loop.  None of this depends on the coefficient ring, so
-it is built once per n; the generic element sums count * q^(e/2) *
-beta^loops per diagram, and every other mode specialises its coefficients.
+it is built once per n.  Each diagram's generic coefficient, the sum of
+count * q^(e/2) * beta^loops, is summed in integers: beta^l = (q + 1/q)^l
+adds count * C(l, i) to the coefficient of q^(e/2 + l - 2i), for i in
+0..l, and one LaurentPoly is built per diagram from the sums.  Every
+other mode specialises the generic coefficients.
 
 The element commutes with the whole algebra and acts on the k-defect
 standard module by the scalar q^(k+1) + q^-(k+1).
 """
 
 from functools import lru_cache
+from itertools import chain
+from math import comb
 
-from .ring import GENERIC, CrossCheckError, LaurentPoly, beta_power
-from .diagram_core import VACANT, AlgebraElem, DiluteDiagram, all_generators, glue
-from .link_modules import enumerate_links, LinComb, act
+from .ring import GENERIC, CrossCheckError, LaurentPoly
+from .diagram_core import (VACANT, AlgebraElem, DiluteDiagram, all_generators, by_east,
+                           by_west, glue, glued_sum, memo_per_mode, multiply_diagrams_raw)
+from . import link_modules
+from .link_modules import act_diagram_raw, enumerate_links
+
+# perfbench/selftest.py checks that its tracer patches act in this module
+# too; check_eigenvalue glues through glued_sum instead
+act = link_modules.act
 
 # each tile's edges N, E, S, W are nodes 0..3 of it; its in-tile partners
 _TILE_INNER = {"a": (3, 2, 1, 0), "b": (1, 0, 3, 2), "c": (2, VACANT, 0, VACANT)}
@@ -83,13 +94,14 @@ def _row_steps(is_open):
     return tuple(steps)
 
 
-@lru_cache(maxsize=16)
+@memo_per_mode(16)
 def build_F(n, mode=GENERIC):
     """
     The central element on n sites, expanded into diagrams.  The last 16
-    (n, mode) are memoised, above a central_tile pass's 14: callers get a
-    shared element and must not change its terms.  A root-of-unity element
-    specialises the generic one, which the row transfer builds.
+    (n, mode) are memoised, above a central_tile pass's 14, whatever the
+    call form: callers get a shared element and must not change its terms.
+    A root-of-unity element specialises the generic one, which the row
+    transfer builds.
     """
     if n < 1:
         raise ValueError("the tile assembly needs n >= 1, not %d" % n)
@@ -117,7 +129,7 @@ def build_F(n, mode=GENERIC):
                     w = (e + sexp, l + loops)
                     acc[w] = acc.get(w, 0) + sign * c
         states = merged
-    closed = {}  # slot pairing -> {loops: {exponent of q: count}}
+    closed = {}  # slot pairing -> {exponent of q: count}
     for (pairing, cut), weights in states.items():
         # the bottom cup joins the open slots, or the cut ends into a loop
         p = list(pairing)
@@ -130,15 +142,12 @@ def build_F(n, mode=GENERIC):
         for (e, l), c in weights.items():
             if e % 2:
                 raise CrossCheckError("half powers of q must cancel")
-            by_q = acc.setdefault(l + cup_loops, {})
-            by_q[e // 2] = by_q.get(e // 2, 0) + c
-    terms = {}
-    for p, by_loops in closed.items():
-        coeff = LaurentPoly()
-        for loops, by_q in by_loops.items():
-            coeff = coeff + LaurentPoly(by_q) * beta_power(GENERIC, loops)
-        terms[DiluteDiagram(n, p)] = coeff
-    return AlgebraElem(n, mode, terms)
+            l += cup_loops
+            for i in range(l + 1):  # beta^l = sum of C(l, i) q^(l - 2i)
+                x = e // 2 + l - 2 * i
+                acc[x] = acc.get(x, 0) + c * comb(l, i)
+    return AlgebraElem(n, mode, {DiluteDiagram(n, p): LaurentPoly(by_q)
+                                 for p, by_q in closed.items()})
 
 
 def delta(k, mode=GENERIC):
@@ -147,23 +156,41 @@ def delta(k, mode=GENERIC):
 
 
 def check_central(n, mode=GENERIC):
-    """Whether the element commutes with every generator."""
+    """
+    Whether the element commutes with every generator.  F is grouped by
+    east and by west mask once: F g glues only the groups of F whose east
+    mask is a west mask of g, and g F each term of g to F's west groups.
+    """
     f = build_F(n, mode)
-    return all(f * g == g * f for _lab, g in all_generators(n, mode))
+    f_east, f_west = by_east(f.terms), by_west(f.terms)
+    for _lab, g in all_generators(n, mode):
+        g_west = by_west(g.terms)
+        left = chain.from_iterable(f_east.get(w, ()) for w in g_west)
+        if (glued_sum(left, g_west, multiply_diagrams_raw, mode)
+                != glued_sum(g.terms.items(), f_west, multiply_diagrams_raw, mode)):
+            return False
+    return True
 
 
 def check_eigenvalue(n, k, mode=GENERIC):
     """
-    Whether the element scales every basis state of the (n, k) module.
+    Whether the element scales every basis state of the (n, k) module,
+    F v = delta(k) v modulo states with fewer than k defects.  Each state
+    is glued only to the terms of F whose east mask equals its west mask.
     Raises ValueError unless 0 <= k <= n.
     """
     if not 0 <= k <= n:
         raise ValueError("no standard module U(%d, %d): k must lie in 0..%d" % (n, k, n))
-    f = build_F(n, mode)
-    dk = delta(k, mode)
+    f_east = by_east(build_F(n, mode).terms)
+    dk, one = delta(k, mode), mode.one()
+
+    def keep(w):
+        return w.defect_count() >= k
+
     for v in enumerate_links(n, k):
-        expected = LinComb.from_state(v, mode, dk)
-        if act(f, v, quotient_k=k) != expected:
+        image = glued_sum(f_east.get(v.west, ()), {v.west: [(v, one)]},
+                          act_diagram_raw, mode, keep)
+        if image != ({v: dk} if dk else {}):
             return False
     return True
 

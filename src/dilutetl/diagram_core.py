@@ -23,7 +23,11 @@ glue() is the one routine that follows strings: the product, the action
 on link states, the bilinear form and the tile-built central element each
 number their nodes, call it and read off the result.  glued_sum() is the
 one loop that sums glued pairs with their coefficients and loop weights,
-for the product, the action and the cellularity check.
+for the product, the action, the centre checks and the cellularity
+check.  It takes its left operand as (term, coefficient) pairs and its
+right operand grouped by west mask (by_west()), so a caller that reuses
+an operand groups it once, and a caller that passes only the left terms
+of one east mask (a by_east() group) visits only pairs that can glue.
 
 What a glued pair gives, its loop count and result, does not depend on
 the coefficient ring.  So the product of two diagrams is memoised per
@@ -37,7 +41,7 @@ The constructor validates before it looks up; a glued result is looked
 up before it is built.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from weakref import WeakValueDictionary
 
 from .ring import GENERIC, beta_power
@@ -67,6 +71,8 @@ class DiluteDiagram:
 
     def __new__(cls, n, pairing):
         pairing = tuple(pairing)
+        if type(n) is not int:
+            raise ValueError("a diagram's size is %r, not an int" % (n,))
         if len(pairing) != 2 * n:
             raise ValueError("a diagram on %d sites has %d slots, not %d"
                              % (n, 2 * n, len(pairing)))
@@ -301,24 +307,39 @@ def multiply_diagrams_raw(a, b):
     return loops, DiluteDiagram._glued(n, tuple(pairing), a.west, b.east)
 
 
+def by_west(terms):
+    """Terms (diagrams or link states) and coefficients as {west mask: [(b, c_b)]}."""
+    out = {}
+    for b, c in terms.items():
+        out.setdefault(b.west, []).append((b, c))
+    return out
+
+
+def by_east(terms):
+    """Diagrams and coefficients as {east mask: [(a, c_a)]}."""
+    out = {}
+    for a, c in terms.items():
+        out.setdefault(a.east, []).append((a, c))
+    return out
+
+
 def glued_sum(left, right, raw, mode, keep=None):
     """
-    The sum of c_a c_b beta^loops t over the terms a of `left` and b of
-    `right` (dicts from term to coefficient), with (loops, t) = raw(a, b)
-    for multiply_diagrams_raw or link_modules.act_diagram_raw, as a dict
-    from t to nonzero coefficient.  Each a is glued only to the b whose
-    west mask equals its east mask, the only pairs that do not vanish;
+    The sum of c_a c_b beta^loops t over the pairs (a, c_a) of `left`, an
+    iterable, and (b, c_b) of `right`, grouped by west mask as by_west()
+    gives it, with (loops, t) = raw(a, b) for multiply_diagrams_raw or
+    link_modules.act_diagram_raw, as a dict from t to nonzero coefficient.
+    Each a is glued only to the group of b whose west mask equals its east
+    mask, the only pairs that do not vanish, so a caller that passes only
+    the a of one east mask (a by_east() group) skips the rest unvisited;
     coefficients equal to the mode's shared one() are not multiplied; a t
     with keep(t) false is dropped and a sum that cancels is removed as it
     arises.
     """
     one = mode.one()
-    by_west = {}
-    for b, cb in right.items():
-        by_west.setdefault(b.west, []).append((b, cb))
     acc = {}
-    for a, ca in left.items():
-        group = by_west.get(a.east)
+    for a, ca in left:
+        group = right.get(a.east)
         if group is None:
             continue
         for b, cb in group:
@@ -335,6 +356,23 @@ def glued_sum(left, right, raw, mode, keep=None):
             else:
                 acc.pop(t, None)
     return acc
+
+
+def memo_per_mode(maxsize):
+    """
+    lru_cache(maxsize) for a function of (n, mode=GENERIC), keyed on the
+    pair whatever the call form: f(n) and f(n, GENERIC) are one entry and
+    return one object.
+    """
+    def wrap(fn):
+        cached = lru_cache(maxsize)(fn)
+
+        @wraps(fn)
+        def call(n, mode=GENERIC):
+            return cached(n, mode)
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+    return wrap
 
 
 def check_compatible(a, b):
@@ -427,13 +465,13 @@ class AlgebraElem(Combination):
         """The product, summed by glued_sum over the product memo."""
         check_compatible(self, other)
         return AlgebraElem._of(self.n, self.mode, glued_sum(
-            self.terms, other.terms, multiply_diagrams_raw, self.mode))
+            self.terms.items(), by_west(other.terms), multiply_diagrams_raw, self.mode))
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
 
-@lru_cache(maxsize=64)
+@memo_per_mode(64)
 def identity(n, mode=GENERIC):
     """The unit, shared: the sum of 2^n diagrams (string or vacancy pair per site)."""
     return _dashed_sum(n, [], range(1, n + 1), mode)
@@ -491,7 +529,7 @@ def generator(name, i, n, mode=GENERIC):
     raise ValueError("unknown generator %r" % name)
 
 
-@lru_cache(maxsize=64)
+@memo_per_mode(64)
 def all_generators(n, mode=GENERIC):
     """All generator elements of the algebra, a tuple of (label, element) pairs; shared."""
     out = []

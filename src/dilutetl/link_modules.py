@@ -25,8 +25,8 @@ from weakref import WeakValueDictionary
 
 from .ring import GENERIC, CrossCheckError
 from .diagram_core import (DEFECT, GLUE_MEMO_SIZE, VACANT, AlgebraElem, Combination,
-                           DiluteDiagram, check_compatible, glue, glued_sum, planar_pairing,
-                           planar_points, product_seam, shifted)
+                           DiluteDiagram, by_west, check_compatible, glue, glued_sum,
+                           planar_pairing, planar_points, product_seam, shifted)
 from .tl_reference import dim_v, occupied_counts
 
 
@@ -189,7 +189,8 @@ def act(u, v, quotient_k=None):
         v = LinComb.from_state(v, mode)
     check_compatible(u, v)
     keep = None if quotient_k is None else lambda w: w.defect_count() >= quotient_k
-    return LinComb._of(u.n, mode, glued_sum(u.terms, v.terms, act_diagram_raw, mode, keep))
+    return LinComb._of(u.n, mode, glued_sum(u.terms.items(), by_west(v.terms),
+                                            act_diagram_raw, mode, keep))
 
 
 def check_same_module(x, y):

@@ -10,8 +10,8 @@ dimension checks for the restriction and induction formulas.
 """
 
 from .ring import GENERIC, CrossCheckError
-from .diagram_core import (all_generators, identity, glued_sum, multiply_diagrams_raw,
-                           crossing_count)
+from .diagram_core import (all_generators, identity, by_east, by_west, glued_sum,
+                           multiply_diagrams_raw, crossing_count)
 from .link_modules import (enumerate_links, dim_standard, act, diagram_from_links,
                            links_of_diagram)
 from .gram import gram_product, gram_nullity
@@ -161,15 +161,16 @@ def regular_decomposition(n, mode):
     return out
 
 
-def _coeff_map(terms, k, y):
+def _coeff_map(terms, k, y, crossings):
     """
     Write a dict of diagram terms, each with at least k crossings, in the
     form sum_z r(z) |z y~|; returns the map z -> r(z) or None if some term
-    has more than k crossings or a right link different from y.
+    has more than k crossings (counted by `crossings(d)`) or a right link
+    different from y.
     """
     out = {}
     for d, c in terms.items():
-        if crossing_count(d) != k:
+        if crossings(d) != k:
             # terms with more crossings would lower-filtrate differently;
             # they cannot appear in a product with a k-crossing diagram
             return None
@@ -186,33 +187,49 @@ def verify_cellularity(n, k, mode=GENERIC):
     generator u, the coefficients of u |x y~| modulo lower filtration
     layers do not depend on y, agree with the standard-module action of u
     on x, and sandwich products collapse to the bilinear form.  Each
-    |x y~|, each action u x, each pairing <y, z> and each
-    phi = <y, u x'> is built once and shared by the checks that use it.
-    Raises ValueError unless 0 <= k <= n.
+    |x y~|, each action u x, each pairing <y, z>, each phi = <y, u x'> and
+    each result's crossing count is built once and shared by the checks
+    that use it.  Every operand is grouped by mask once (each cell, each
+    generator and each |x y~| u), and a product whose right factor is a
+    cell passes glued_sum only the left group whose east mask equals the
+    cell's west mask.  Raises ValueError unless 0 <= k <= n.
     """
     if not 0 <= k <= n:
         raise ValueError("no standard module U(%d, %d): k must lie in 0..%d" % (n, k, n))
     basis = enumerate_links(n, k)
     gens = [identity(n, mode)] + [u for _lab, u in all_generators(n, mode)]
     one = mode.one()
-    # each |x y~| as a one-term dict, the operand glued_sum takes
-    cells = {(x, y): {diagram_from_links(x, y): one} for x in basis for y in basis}
+    # each |x y~| with itself as glued_sum's right operand: {west: [(d, one)]}
+    cells = {}
+    for x in basis:
+        for y in basis:
+            d = diagram_from_links(x, y)
+            cells[x, y] = d, {d.west: [(d, one)]}
     pairing = {(y, z): gram_product(y, z, mode) for y in basis for z in basis}
     zero = mode.zero()
+    counts = {}
+
+    def crossings(d):
+        c = counts.get(d)
+        if c is None:
+            c = counts[d] = crossing_count(d)
+        return c
 
     def outside_ideal(d):
-        return crossing_count(d) >= k
+        return crossings(d) >= k
 
-    def times(a, b):
-        """The terms of a * b outside the ideal of diagrams with fewer than k crossings."""
-        return glued_sum(a, b, multiply_diagrams_raw, mode, outside_ideal)
+    def times(left, right):
+        """The terms of a product outside the ideal of diagrams with fewer than k crossings."""
+        return glued_sum(left, right, multiply_diagrams_raw, mode, outside_ideal)
 
     for u in gens:
+        u_east, u_west = by_east(u.terms), by_west(u.terms)
         actions = [(x, act(u, x, quotient_k=k)) for x in basis]
         # same coefficients as the standard-module action, for every y
         for x, ux in actions:
             for y in basis:
-                if _coeff_map(times(u.terms, cells[x, y]), k, y) != ux.terms:
+                d, cell = cells[x, y]
+                if _coeff_map(times(u_east.get(d.west, ()), cell), k, y, crossings) != ux.terms:
                     return False
         # sandwich rule: |x y~| u |x' y''~| = <y, u x'> |x y''| mod lower
         for y in basis:
@@ -223,11 +240,13 @@ def verify_cellularity(n, k, mode=GENERIC):
                     phi = phi + pairing[y, z] * cz
                 phis.append((xp, phi))
             for x in basis[:2]:
-                left_u = times(cells[x, y], u.terms)
+                d, cell = cells[x, y]
+                left_u = by_east(times(cell[d.west], u_west))
                 for xp, phi in phis:
                     for yp in basis[:2]:
-                        prod = times(left_u, cells[xp, yp])
-                        if prod != (dict.fromkeys(cells[x, yp], phi) if phi else {}):
+                        dp, cellp = cells[xp, yp]
+                        prod = times(left_u.get(dp.west, ()), cellp)
+                        if prod != ({cells[x, yp][0]: phi} if phi else {}):
                             return False
     return True
 

@@ -7,8 +7,9 @@ import pytest
 
 from helpers import build_F_enumerated, embed_bottom
 
-from dilutetl.ring import GENERIC, LaurentPoly, root_of_unity
-from dilutetl.diagram_core import DiluteDiagram, transpose
+from dilutetl import central
+from dilutetl.ring import GENERIC, LaurentPoly, beta, root_of_unity
+from dilutetl.diagram_core import AlgebraElem, DiluteDiagram, crossing_count, transpose
 from dilutetl.link_modules import LinComb, act, base_vd_state, theta
 from dilutetl.central import (build_F, check_central, check_eigenvalue, delta,
                               delta_distinct, delta_distinct_predicted)
@@ -36,12 +37,51 @@ def test_row_transfer_matches_enumeration(n, mode):
 
 
 def test_root_element_reads_the_generic_memo_entry():
-    """A root-of-unity element specialises the generic one, so this is one memo entry."""
+    """
+    A root-of-unity element specialises the generic one, so this is one
+    memo entry, which the short and the long call form both read.
+    """
     build_F.cache_clear()
     build_F(3, root_of_unity(6))
     hits = build_F.cache_info().hits
     build_F(3, GENERIC)
-    assert build_F.cache_info().hits == hits + 1
+    build_F(3)
+    assert build_F.cache_info().hits == hits + 2
+
+
+def _mutated_F(monkeypatch, k, change, target):
+    """
+    Patch central.build_F to return, in the target mode, F with `change`
+    applied to the coefficient of its first term (in sort order) with k
+    crossing strings; a change that returns None drops the term.
+    """
+    build = central.build_F
+
+    def mutant(n, mode=GENERIC):
+        if mode is not target:  # the generic F that a root element specialises
+            return build(n, mode)
+        terms = dict(build(n, mode).terms)
+        d = min((d for d in terms if crossing_count(d) == k), key=DiluteDiagram.sort_key)
+        c = change(terms.pop(d), mode)
+        if c is not None:
+            terms[d] = c
+        return AlgebraElem(n, mode, terms)
+
+    monkeypatch.setattr(central, "build_F", mutant)
+
+
+# beta is 1 at a sixth root of unity, so the scaled term is checked at m = 8
+@pytest.mark.parametrize("change,mode", [
+    (lambda c, mode: None, GENERIC), (lambda c, mode: None, root_of_unity(6)),
+    (lambda c, mode: c * beta(mode), GENERIC),
+    (lambda c, mode: c * beta(mode), root_of_unity(8))],
+    ids=["drop-generic", "drop-m6", "times_beta-generic", "times_beta-m8"])
+@pytest.mark.parametrize("k", range(4))
+def test_centre_checks_reject_a_mutated_F(monkeypatch, change, mode, k):
+    """One changed term of F, acting on U(3, k), fails both checks."""
+    _mutated_F(monkeypatch, k, change, mode)
+    assert not check_central(3, mode)
+    assert not check_eigenvalue(3, k, mode)
 
 
 @pytest.mark.parametrize("n,mode", [(5, GENERIC), (6, GENERIC),

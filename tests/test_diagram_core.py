@@ -11,7 +11,7 @@ from helpers import motzkin, mul_fold, product_loops
 
 from dilutetl.ring import GENERIC, root_of_unity
 from dilutetl.diagram_core import (DEFECT, VACANT, AlgebraElem, DiluteDiagram,
-                                   all_generators, crossing_count,
+                                   all_generators, by_west, crossing_count,
                                    enumerate_diagrams, generator, glue,
                                    glued_sum, identity, multiply_diagrams_raw,
                                    parity_split, projector_pi,
@@ -424,8 +424,9 @@ def test_mul_matches_pair_fold(mode):
 def test_crossing_filtered_glued_sum_matches_reduced_fold():
     """
     The kernel with the crossing filter, as the cellularity check calls
-    it, equals the oracle's full product reduced modulo the ideal of
-    diagrams with fewer than k crossings: every pair at n <= 3, every k.
+    it (the left operand as pairs, the right grouped by west mask), equals
+    the oracle's full product reduced modulo the ideal of diagrams with
+    fewer than k crossings: every pair at n <= 3, every k.
     """
     for n in (1, 2, 3):
         elems = [AlgebraElem.from_diagram(d) for d in enumerate_diagrams(n)]
@@ -433,6 +434,7 @@ def test_crossing_filtered_glued_sum_matches_reduced_fold():
             for d in elems:
                 full = mul_fold(a, d)
                 for k in range(n + 1):
-                    got = glued_sum(a.terms, d.terms, multiply_diagrams_raw, GENERIC,
+                    got = glued_sum(a.terms.items(), by_west(d.terms),
+                                    multiply_diagrams_raw, GENERIC,
                                     lambda t: crossing_count(t) >= k)
                     assert got == reduce_mod_ideal(full, k).terms, (a, d, k)

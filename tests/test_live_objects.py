@@ -9,8 +9,11 @@ import pickle
 
 import pytest
 
-from dilutetl.diagram_core import (DEFECT, VACANT, DiluteDiagram, enumerate_diagrams,
-                                   identity, multiply_diagrams_raw, transpose_diagram)
+from dilutetl.ring import GENERIC
+from dilutetl.diagram_core import (DEFECT, VACANT, DiluteDiagram, all_generators,
+                                   enumerate_diagrams, identity, multiply_diagrams_raw,
+                                   transpose_diagram)
+from dilutetl.central import build_F
 from dilutetl.link_modules import (LinkState, act_diagram_raw, diagram_from_links,
                                    enumerate_links, links_of_diagram)
 
@@ -75,6 +78,18 @@ def test_lookalike_points_are_rejected_beside_their_live_object():
             DiluteDiagram(1, points)
         with pytest.raises(ValueError):
             LinkState(points)
+
+
+@pytest.mark.parametrize("n,slots", [(True, 2), (1.5, 3), ("2", 4)], ids=repr)
+def test_a_size_that_is_not_an_int_is_rejected(n, slots):
+    with pytest.raises(ValueError, match="not an int"):
+        DiluteDiagram(n, (VACANT,) * slots)
+
+
+def test_shared_elements_are_one_object_whatever_the_call_form():
+    """The per-(n, mode) memos key on the value: f(n) and f(n, GENERIC) are one entry."""
+    for f, n in ((build_F, 4), (identity, 3), (all_generators, 3)):
+        assert f(n) is f(n, GENERIC) is f(n, mode=GENERIC), f.__name__
 
 
 def test_an_object_no_one_holds_leaves_its_table():

@@ -171,9 +171,17 @@ def _drop_one_term(act):
     return patched
 
 
+def _drop_one_loop(raw):
+    def patched(a, b):
+        loops, t = raw(a, b)
+        return (loops - 1 if loops else loops), t
+    return patched
+
+
 @pytest.mark.parametrize("target,wrap", [
     ("gram_product", lambda f: lambda y, z, mode=GENERIC: f(y, z, mode) * beta(mode)),
-    ("act", _drop_one_term)], ids=["pairing_times_beta", "act_drops_a_term"])
+    ("act", _drop_one_term), ("multiply_diagrams_raw", _drop_one_loop)],
+    ids=["pairing_times_beta", "act_drops_a_term", "product_drops_a_loop"])
 def test_cellularity_detects_a_broken_operand(monkeypatch, target, wrap):
     """Operands built once outside the loops still reach the checks."""
     monkeypatch.setattr(structure, target, wrap(getattr(structure, target)))
